@@ -36,15 +36,17 @@ bench-json:
 	IUAD_BENCH_THREADS=1 cargo run --release -p iuad-bench --bin repro -- perf
 
 # What the CI perf-guard step runs: stash the committed baseline, re-measure,
-# fail on a >25% regression of total_seconds or pairs_per_sec.
+# fail on a >25% regression of total_seconds, pairs_per_sec, or any stage row
+# worth at least 5% of the baseline total.
 perf-guard:
 	cp BENCH_pipeline.json /tmp/BENCH_baseline.json
 	$(MAKE) bench-json
 	python3 scripts/perf_guard.py /tmp/BENCH_baseline.json BENCH_pipeline.json
 
 # Regenerate the committed scale-tier baseline (BENCH_scale.json; schema in
-# README § Performance): 100k generated papers through the name-block-sharded
-# fit. The 1M tier is nightly CI (and manual): IUAD_SCALE_1M=1 make bench-scale.
+# README § Performance): 100k generated papers through the shipped Iuad::fit,
+# with the stage rows it records itself. The 1M tier is nightly CI (and
+# manual): IUAD_SCALE_1M=1 make bench-scale.
 # Every tier is held to a hard memory ceiling — profile-context heap at most
 # 1.25x the committed baseline's bytes/mention — and the run exits 1 past it.
 bench-scale:

@@ -140,13 +140,11 @@ fn main() {
             if let Some(delta) = args.get("delta") {
                 config.gcn.delta = delta;
             }
-            // `--bench-json PATH`: an additional instrumented pipeline run
-            // at the same configuration (including thread count), measured
-            // stage by stage per the BENCH_pipeline.json schema of README
-            // § Performance, before the reporting fit below.
+            let (iuad, elapsed) = iuad_eval::time_it(|| Iuad::fit(&corpus, &config));
+            // `--bench-json PATH`: this fit's recorded stage timings, per
+            // the BENCH_pipeline.json schema of README § Performance.
             if let Some(path) = args.get::<PathBuf>("bench-json") {
-                let bench =
-                    iuad_bench::experiments::perf::measure(&corpus, &config, &config.parallel);
+                let bench = iuad_bench::experiments::perf::bench_of(&corpus, &iuad);
                 match serde_json::to_string(&bench)
                     .map_err(std::io::Error::other)
                     .and_then(|json| std::fs::write(&path, json))
@@ -158,7 +156,6 @@ fn main() {
                     }
                 }
             }
-            let (iuad, elapsed) = iuad_eval::time_it(|| Iuad::fit(&corpus, &config));
             println!(
                 "fitted in {elapsed:.2?}: {} SCN vertices, {} η-SCRs, {} GCN clusters ({} merges)\n",
                 iuad.scn.graph.num_vertices(),

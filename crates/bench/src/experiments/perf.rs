@@ -12,22 +12,15 @@
 //! `candidate_pair_seconds` the same measurement as the
 //! `candidate_pair_data` stage row.)
 //!
-//! The measurement replicates [`iuad_core::Iuad::fit`] stage by stage via
-//! the public Stage-1/Stage-2 entry points, so a stage timing here is the
-//! cost of exactly that pipeline phase and nothing else. Thread count comes
-//! from `IUAD_BENCH_THREADS` (default: all cores); run with
-//! `IUAD_BENCH_THREADS=1` for the canonical single-threaded baseline.
+//! The numbers are the stage timings [`Iuad::fit`] records itself
+//! ([`Iuad::stage_times`]), so a stage row is the cost of that phase of
+//! the shipped fit. Thread count comes from `IUAD_BENCH_THREADS` (default:
+//! all cores); run with `IUAD_BENCH_THREADS=1` for the canonical
+//! single-threaded baseline.
 
-use std::time::Instant;
-
-use iuad_core::gcn::{
-    self, candidate_pair_data_parallel, fit_model, merge_network, scores_for_parallel,
-    training_rows, MergePolicy,
-};
-use iuad_core::{CacheScope, IuadConfig, ProfileContext, Scn, SimilarityEngine, NUM_SIMILARITIES};
+use iuad_core::{Iuad, IuadConfig};
 use iuad_corpus::Corpus;
 use iuad_eval::Table;
-use iuad_par::ParallelConfig;
 use serde::Serialize;
 
 use crate::write_results;
@@ -64,112 +57,35 @@ pub struct PipelineBench {
     pub candidate_pair_seconds: f64,
     /// `candidate_pairs / candidate_pair_seconds` — the headline number.
     pub pairs_per_sec: f64,
-    /// End-to-end fit wall-time (sum of stage timings' wall-clock window).
+    /// End-to-end wall time of `Iuad::fit`.
     pub total_seconds: f64,
 }
 
-/// Measure the full pipeline on `corpus` under `cfg` at `par`'s thread
-/// count.
-pub fn measure(corpus: &Corpus, cfg: &IuadConfig, par: &ParallelConfig) -> PipelineBench {
-    let mut stages: Vec<StageTiming> = Vec::new();
-    // Reads the clock exactly once and returns the reading, so callers that
-    // also report the value (the pair-throughput denominator) agree with
-    // the stage row to the bit.
-    fn stage(stages: &mut Vec<StageTiming>, name: &str, t0: Instant) -> f64 {
-        let seconds = t0.elapsed().as_secs_f64();
-        stages.push(StageTiming {
-            stage: name.to_string(),
-            seconds,
-        });
-        seconds
-    }
-    let total0 = Instant::now();
+/// Fit `corpus` under `cfg` and report the fit's recorded stage timings.
+pub fn measure(corpus: &Corpus, cfg: &IuadConfig) -> PipelineBench {
+    bench_of(corpus, &Iuad::fit(corpus, cfg))
+}
 
-    let t = Instant::now();
-    let (ctx, sgns) =
-        ProfileContext::build_with_stats(corpus, cfg.embedding_dim, cfg.embedding_seed, par);
-    stage(&mut stages, "profile_context", t);
-    // SGNS sub-stage rows: inner timings of the profile_context window
-    // above, not additional pipeline phases.
-    for (name, seconds) in [
-        ("sgns_vocab_build", sgns.vocab_seconds),
-        ("sgns_sampler_build", sgns.sampler_seconds),
-        ("sgns_epoch_loop", sgns.epochs_seconds),
-    ] {
-        stages.push(StageTiming {
-            stage: name.to_string(),
-            seconds,
-        });
-    }
-
-    let t = Instant::now();
-    let scn = Scn::build_parallel(corpus, cfg.eta, par);
-    stage(&mut stages, "scn_build", t);
-
-    let t = Instant::now();
-    let engine = SimilarityEngine::build_parallel(
-        &scn,
-        &ctx,
-        cfg.alpha,
-        cfg.wl_iters,
-        CacheScope::AmbiguousOnly,
-        par,
-    );
-    stage(&mut stages, "similarity_engine_build", t);
-
-    let t = Instant::now();
-    let data = candidate_pair_data_parallel(&scn, &ctx, &engine, par);
-    let candidate_pair_seconds = stage(&mut stages, "candidate_pair_data", t);
-
-    let gcn_cfg = &cfg.gcn;
-    let t = Instant::now();
-    let (rows, anchors) = training_rows(&data, &scn, &ctx, &engine, gcn_cfg);
-    let all_features: Vec<usize> = (0..NUM_SIMILARITIES).collect();
-    let model = fit_model(&rows, &anchors, &all_features, &gcn_cfg.em);
-    stage(&mut stages, "mixture_fit", t);
-
-    let t = Instant::now();
-    let cluster_of_vertex = match &model {
-        Some(m) => {
-            let scores = scores_for_parallel(m, &data.vectors, &all_features, par);
-            let (clusters, _, _) = match gcn_cfg.merge_policy {
-                MergePolicy::Transitive => {
-                    gcn::clusters_from_scores(&scn, &data.pairs, &scores, gcn_cfg.delta)
-                }
-                MergePolicy::AverageLinkage => {
-                    gcn::clusters_by_linkage(&scn, &data.pairs, &scores, gcn_cfg.delta)
-                }
-            };
-            clusters
-        }
-        None => (0..scn.graph.num_vertices()).collect(),
-    };
-    stage(&mut stages, "score_and_cluster", t);
-
-    let t = Instant::now();
-    let (network, plan) = merge_network(corpus, &scn, &cluster_of_vertex);
-    stage(&mut stages, "merge_network", t);
-
-    let t = Instant::now();
-    let _incr_engine = SimilarityEngine::derive(
-        engine,
-        &plan,
-        &network,
-        &ctx,
-        CacheScope::AmbiguousOnly,
-        par,
-    );
-    stage(&mut stages, "engine_derive", t);
-
-    let candidate_pairs = data.pairs.len();
+/// The bench document of a finished fit of `corpus`.
+pub fn bench_of(corpus: &Corpus, iuad: &Iuad) -> PipelineBench {
+    let times = &iuad.stage_times;
+    let candidate_pairs = iuad.gcn.pairs_scored;
+    let candidate_pair_seconds = times.seconds("candidate_pair_data").unwrap_or(0.0);
     PipelineBench {
         schema_version: 3,
         corpus_papers: corpus.papers.len(),
         corpus_names: corpus.num_names(),
         corpus_authors: corpus.num_authors(),
         corpus_mentions: corpus.num_mentions(),
-        threads: par.resolved_threads(),
-        stages,
+        threads: iuad.config.parallel.resolved_threads(),
+        stages: times
+            .stages()
+            .iter()
+            .map(|&(stage, seconds)| StageTiming {
+                stage: stage.to_string(),
+                seconds,
+            })
+            .collect(),
         candidate_pairs,
         candidate_pair_seconds,
         pairs_per_sec: if candidate_pair_seconds > 0.0 {
@@ -177,7 +93,7 @@ pub fn measure(corpus: &Corpus, cfg: &IuadConfig, par: &ParallelConfig) -> Pipel
         } else {
             0.0
         },
-        total_seconds: total0.elapsed().as_secs_f64(),
+        total_seconds: times.total_seconds(),
     }
 }
 
@@ -216,7 +132,11 @@ pub fn run(corpus: &Corpus) -> String {
         "perf: measuring pipeline at {} thread(s)…",
         par.resolved_threads()
     );
-    let bench = measure(corpus, &IuadConfig::default(), &par);
+    let cfg = IuadConfig {
+        parallel: par,
+        ..IuadConfig::default()
+    };
+    let bench = measure(corpus, &cfg);
     if let Err(e) = write_bench_json(&bench) {
         eprintln!("error: failed to write BENCH_pipeline.json: {e}");
         std::process::exit(1);
@@ -224,4 +144,38 @@ pub fn run(corpus: &Corpus) -> String {
     let out = render(&bench);
     write_results("perf", std::slice::from_ref(&bench), &out);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::scale::field;
+    use iuad_corpus::CorpusConfig;
+    use serde::Value;
+
+    #[test]
+    fn measure_emits_the_committed_stage_ids() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
+        let text = std::fs::read_to_string(path).expect("committed BENCH_pipeline.json");
+        let doc: Value = serde_json::from_str(&text).expect("valid JSON");
+        let Some(Value::Array(rows)) = field(&doc, "stages") else {
+            panic!("committed baseline has no stages array");
+        };
+        let committed: Vec<&str> = rows
+            .iter()
+            .map(|row| match field(row, "stage") {
+                Some(Value::Str(id)) => id.as_str(),
+                other => panic!("stage row without an id: {other:?}"),
+            })
+            .collect();
+        let corpus = Corpus::generate(&CorpusConfig {
+            num_authors: 100,
+            num_papers: 400,
+            seed: 5,
+            ..CorpusConfig::default()
+        });
+        let bench = measure(&corpus, &IuadConfig::default());
+        let fresh: Vec<&str> = bench.stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(fresh, committed);
+    }
 }

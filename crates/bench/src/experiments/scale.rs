@@ -1,43 +1,38 @@
-//! Million-paper scale tier: streamed corpus generation plus the
-//! name-block-sharded fit, written as the machine-readable
-//! `BENCH_scale.json` (see README § Performance for the schema).
+//! Million-paper scale tier: streamed corpus generation plus the shipped
+//! fit, written as the machine-readable `BENCH_scale.json` (see README
+//! § Performance for the schema).
 //!
-//! Schema version 1. Two tiers are defined — 100k papers (always run; the
+//! Schema version 2. Two tiers are defined — 100k papers (always run; the
 //! CI `bench-scale` job guards it with `scripts/perf_guard.py`) and 1M
 //! papers (opt-in via `IUAD_SCALE_1M=1`; manual/nightly only — it is a
-//! multi-minute, multi-GB run). The guarded tier's `total_seconds` and
-//! `pairs_per_sec` are mirrored at the top level of the document so the
-//! perf guard reads `BENCH_scale.json` exactly like `BENCH_pipeline.json`.
+//! multi-minute, multi-GB run). The guarded tier's `total_seconds`,
+//! `pairs_per_sec` and `stages` are mirrored at the top level of the
+//! document so the perf guard reads `BENCH_scale.json` exactly like
+//! `BENCH_pipeline.json`. (Version 1 timed a name-block-sharded copy of
+//! the fit and carried a `shard_blocks` field.)
 //!
-//! The measurement replicates [`iuad_core::Iuad::fit_sharded`] stage by
-//! stage via the public sharded entry points, so each stage row is the
-//! cost of exactly that phase of the sharded pipeline. Corpora are drawn
-//! through [`iuad_corpus::PaperGenerator`] in bounded chunks: generation
-//! streams papers into the corpus under construction instead of building
+//! Each stage row is a timing [`Iuad::fit`] records itself, under the same
+//! stage ids as `BENCH_pipeline.json`. Corpora are drawn through
+//! [`iuad_corpus::PaperGenerator`] in bounded chunks: generation streams
+//! papers into the corpus under construction instead of building
 //! throwaway intermediates, and progress is reported per chunk.
 
 use std::time::Instant;
 
-use iuad_core::gcn::{
-    self, candidate_pair_data_sharded, clusters_by_linkage_sharded, fit_model, merge_network,
-    scores_for_parallel, training_rows, MergePolicy,
-};
-use iuad_core::{
-    CacheScope, IuadConfig, ProfileContext, Scn, ShardPlan, SimilarityEngine, NUM_SIMILARITIES,
-};
+use iuad_core::{Iuad, IuadConfig};
 use iuad_corpus::{Corpus, CorpusConfig, PaperGenerator};
 use iuad_eval::Table;
 use iuad_par::ParallelConfig;
 use serde::{Serialize, Value};
 
-use super::perf::StageTiming;
+use super::perf::{bench_of, StageTiming};
 use crate::write_results;
 
 /// Papers drained from the streaming generator per progress chunk.
 const GENERATE_CHUNK: usize = 50_000;
 
-/// One scale tier: corpus shape, generation cost, and the sharded-fit
-/// stage timings.
+/// One scale tier: corpus shape, generation cost, and the fit's stage
+/// timings.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScaleTier {
     /// Tier id (`"100k"`, `"1m"`).
@@ -50,22 +45,21 @@ pub struct ScaleTier {
     pub authors: usize,
     /// Author mentions (disambiguation units).
     pub mentions: usize,
-    /// Name blocks the fit was sharded across.
-    pub shard_blocks: usize,
     /// Wall-time of streamed corpus generation.
     pub generate_seconds: f64,
-    /// Per-stage wall-times of the sharded fit, in execution order.
+    /// Per-stage wall-times of the fit, in execution order.
     pub stages: Vec<StageTiming>,
     /// Same-name candidate pairs scored by Stage 2.
     pub candidate_pairs: usize,
-    /// Wall-time of `candidate_pair_data_sharded` alone.
+    /// Wall-time of the `candidate_pair_data` stage alone.
     pub candidate_pair_seconds: f64,
     /// `candidate_pairs / candidate_pair_seconds`.
     pub pairs_per_sec: f64,
-    /// End-to-end sharded-fit wall-time (generation excluded).
+    /// End-to-end fit wall-time (generation excluded).
     pub total_seconds: f64,
-    /// Heap footprint of the fitted [`ProfileContext`] (interned vocab,
-    /// embedding matrix, CSR keyword slab, per-paper columns).
+    /// Heap footprint of the fitted [`iuad_core::ProfileContext`]
+    /// (interned vocab, embedding matrix, CSR keyword slab, per-paper
+    /// columns).
     pub ctx_heap_bytes: usize,
     /// `ctx_heap_bytes / mentions` — the per-mention profile budget the
     /// interning work is accountable to.
@@ -87,6 +81,8 @@ pub struct ScaleBench {
     pub total_seconds: f64,
     /// Guarded tier's pair throughput (top-level for `perf_guard.py`).
     pub pairs_per_sec: f64,
+    /// Guarded tier's stage rows (top-level for `perf_guard.py`).
+    pub stages: Vec<StageTiming>,
 }
 
 /// Generate `cfg`'s corpus through the streaming generator, draining in
@@ -112,118 +108,34 @@ fn generate_streamed(cfg: &CorpusConfig) -> (Corpus, f64) {
     (corpus, t0.elapsed().as_secs_f64())
 }
 
-/// Measure the sharded fit on `corpus` at `blocks` name blocks.
+/// Fit `corpus` and read the tier's row off the fit's recorded stages.
 fn measure_tier(
     tier: &str,
     corpus: &Corpus,
     generate_seconds: f64,
-    blocks: usize,
     par: &ParallelConfig,
 ) -> ScaleTier {
-    let cfg = IuadConfig::default();
-    let mut stages: Vec<StageTiming> = Vec::new();
-    fn stage(stages: &mut Vec<StageTiming>, name: &str, t0: Instant) -> f64 {
-        let seconds = t0.elapsed().as_secs_f64();
-        stages.push(StageTiming {
-            stage: name.to_string(),
-            seconds,
-        });
-        seconds
-    }
-    let total0 = Instant::now();
-    let plan = ShardPlan::for_corpus(corpus, blocks);
-
-    let t = Instant::now();
-    let ctx = ProfileContext::build_parallel(corpus, cfg.embedding_dim, cfg.embedding_seed, par);
-    stage(&mut stages, "profile_context", t);
-
-    let t = Instant::now();
-    let scn = Scn::build_sharded(corpus, cfg.eta, &plan, par);
-    stage(&mut stages, "scn_build_sharded", t);
-
-    let t = Instant::now();
-    let engine = SimilarityEngine::build_sharded(
-        &scn,
-        &ctx,
-        cfg.alpha,
-        cfg.wl_iters,
-        CacheScope::AmbiguousOnly,
-        &plan,
-        par,
-    );
-    stage(&mut stages, "similarity_engine_build_sharded", t);
-
-    let t = Instant::now();
-    let data = candidate_pair_data_sharded(&scn, &ctx, &engine, &plan, par);
-    let candidate_pair_seconds = stage(&mut stages, "candidate_pair_data_sharded", t);
-
-    let gcn_cfg = &cfg.gcn;
-    let t = Instant::now();
-    let (rows, anchors) = training_rows(&data, &scn, &ctx, &engine, gcn_cfg);
-    let all_features: Vec<usize> = (0..NUM_SIMILARITIES).collect();
-    let model = fit_model(&rows, &anchors, &all_features, &gcn_cfg.em);
-    stage(&mut stages, "mixture_fit", t);
-
-    let t = Instant::now();
-    let cluster_of_vertex = match &model {
-        Some(m) => {
-            let scores = scores_for_parallel(m, &data.vectors, &all_features, par);
-            let (clusters, _, _) = match gcn_cfg.merge_policy {
-                MergePolicy::Transitive => {
-                    gcn::clusters_from_scores(&scn, &data.pairs, &scores, gcn_cfg.delta)
-                }
-                MergePolicy::AverageLinkage => clusters_by_linkage_sharded(
-                    &scn,
-                    &data.pairs,
-                    &scores,
-                    gcn_cfg.delta,
-                    &plan,
-                    par,
-                ),
-            };
-            clusters
-        }
-        None => (0..scn.graph.num_vertices()).collect(),
+    let cfg = IuadConfig {
+        parallel: *par,
+        ..IuadConfig::default()
     };
-    stage(&mut stages, "score_and_cluster", t);
-
-    let t = Instant::now();
-    let (network, merge_plan) = merge_network(corpus, &scn, &cluster_of_vertex);
-    stage(&mut stages, "merge_network", t);
-
-    let t = Instant::now();
-    let _engine = SimilarityEngine::derive(
-        engine,
-        &merge_plan,
-        &network,
-        &ctx,
-        CacheScope::AmbiguousOnly,
-        par,
-    );
-    stage(&mut stages, "engine_derive", t);
-
-    let candidate_pairs = data.pairs.len();
-    let mentions = corpus.num_mentions();
-    let ctx_heap_bytes = ctx.heap_bytes();
+    let iuad = Iuad::fit(corpus, &cfg);
+    let bench = bench_of(corpus, &iuad);
+    let ctx_heap_bytes = iuad.ctx.heap_bytes();
     ScaleTier {
         tier: tier.to_string(),
-        papers: corpus.papers.len(),
-        names: corpus.num_names(),
-        authors: corpus.num_authors(),
-        mentions,
-        shard_blocks: plan.num_blocks(),
+        papers: bench.corpus_papers,
+        names: bench.corpus_names,
+        authors: bench.corpus_authors,
+        mentions: bench.corpus_mentions,
         generate_seconds,
-        stages,
-        candidate_pairs,
-        candidate_pair_seconds,
-        pairs_per_sec: if candidate_pair_seconds > 0.0 {
-            candidate_pairs as f64 / candidate_pair_seconds
-        } else {
-            0.0
-        },
-        total_seconds: total0.elapsed().as_secs_f64(),
+        stages: bench.stages,
+        candidate_pairs: bench.candidate_pairs,
+        candidate_pair_seconds: bench.candidate_pair_seconds,
+        pairs_per_sec: bench.pairs_per_sec,
+        total_seconds: bench.total_seconds,
         ctx_heap_bytes,
-        bytes_per_mention: ctx_heap_bytes as f64 / mentions.max(1) as f64,
+        bytes_per_mention: ctx_heap_bytes as f64 / bench.corpus_mentions.max(1) as f64,
     }
 }
 
@@ -239,21 +151,15 @@ fn tier_config(papers: usize, seed: u64) -> CorpusConfig {
     }
 }
 
-/// Run one tier end to end: streamed generation, then the sharded fit.
-fn run_tier(
-    tier: &str,
-    papers: usize,
-    seed: u64,
-    blocks: usize,
-    par: &ParallelConfig,
-) -> ScaleTier {
+/// Run one tier end to end: streamed generation, then the fit.
+fn run_tier(tier: &str, papers: usize, seed: u64, par: &ParallelConfig) -> ScaleTier {
     eprintln!("scale: tier {tier} — generating {papers} papers…");
     let (corpus, generate_seconds) = generate_streamed(&tier_config(papers, seed));
     eprintln!(
-        "scale: tier {tier} — fitting {} mentions across {blocks} blocks…",
+        "scale: tier {tier} — fitting {} mentions…",
         corpus.num_mentions()
     );
-    measure_tier(tier, &corpus, generate_seconds, blocks, par)
+    measure_tier(tier, &corpus, generate_seconds, par)
 }
 
 /// Render `bench` as aligned text tables.
@@ -268,7 +174,6 @@ pub fn render(bench: &ScaleBench) -> String {
         let mut info = Table::new(["metric", "value"]);
         info.row(["papers", &tier.papers.to_string()]);
         info.row(["mentions", &tier.mentions.to_string()]);
-        info.row(["shard blocks", &tier.shard_blocks.to_string()]);
         info.row(["generate sec", &format!("{:.3}", tier.generate_seconds)]);
         info.row(["candidate pairs", &tier.candidate_pairs.to_string()]);
         info.row(["pairs/sec", &format!("{:.0}", tier.pairs_per_sec)]);
@@ -294,7 +199,7 @@ const MEMORY_CEILING_FACTOR: f64 = 1.25;
 
 /// Walk an object field by name (the vendored [`Value`] keeps objects as
 /// ordered field lists).
-fn field<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
+pub(crate) fn field<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
     value
         .as_object()?
         .iter()
@@ -393,12 +298,12 @@ pub fn write_bench_json(bench: &ScaleBench) -> std::io::Result<()> {
 pub fn run() -> String {
     let par = crate::method_parallelism();
     eprintln!(
-        "scale: measuring sharded fit at {} thread(s)…",
+        "scale: measuring fit at {} thread(s)…",
         par.resolved_threads()
     );
-    let mut tiers = vec![run_tier("100k", 100_000, 0x5ca1_e100, 16, &par)];
+    let mut tiers = vec![run_tier("100k", 100_000, 0x5ca1_e100, &par)];
     if std::env::var("IUAD_SCALE_1M").is_ok_and(|v| !v.is_empty() && v != "0") {
-        tiers.push(run_tier("1m", 1_000_000, 0x0005_ca1e_1000, 64, &par));
+        tiers.push(run_tier("1m", 1_000_000, 0x0005_ca1e_1000, &par));
     } else {
         eprintln!("scale: 1M tier skipped (set IUAD_SCALE_1M=1 to run it)");
     }
@@ -407,11 +312,12 @@ pub fn run() -> String {
     assert_memory_ceiling(&tiers);
     let guarded = &tiers[0];
     let bench = ScaleBench {
-        schema_version: 1,
+        schema_version: 2,
         threads: par.resolved_threads(),
         guarded_tier: guarded.tier.clone(),
         total_seconds: guarded.total_seconds,
         pairs_per_sec: guarded.pairs_per_sec,
+        stages: guarded.stages.clone(),
         tiers: tiers.clone(),
     };
     if let Err(e) = write_bench_json(&bench) {

@@ -17,6 +17,7 @@ use iuad_par::ParallelConfig;
 use crate::profile::ProfileContext;
 use crate::scn::{EdgeData, Scn, ScnVertex};
 use crate::similarity::{SimilarityEngine, SimilarityVector, FAMILIES, NUM_SIMILARITIES};
+use crate::stages::StageTimes;
 
 /// How accepted pair decisions are turned into clusters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,9 +101,7 @@ pub fn candidate_pair_data_parallel(
     engine: &SimilarityEngine,
     par: &ParallelConfig,
 ) -> PairData {
-    let mut names: Vec<_> = scn.by_name.iter().filter(|(_, vs)| vs.len() >= 2).collect();
-    names.sort_by_key(|(n, _)| n.0);
-    let groups: Vec<&[VertexId]> = names.iter().map(|(_, vs)| vs.as_slice()).collect();
+    let groups = candidate_groups(scn);
     let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
     for vs in &groups {
         for i in 0..vs.len() {
@@ -117,50 +116,12 @@ pub fn candidate_pair_data_parallel(
     PairData { pairs, vectors }
 }
 
-/// [`candidate_pair_data_parallel`] sharded across the contiguous name
-/// blocks of `plan`, one `iuad-par` job per block. Because blocks are
-/// ascending name ranges and candidate groups are iterated in ascending
-/// name order both globally and within each block, concatenating the
-/// per-block outputs in block order reproduces the monolithic pair and
-/// γ-vector arrays element for element.
-pub fn candidate_pair_data_sharded(
-    scn: &Scn,
-    ctx: &ProfileContext,
-    engine: &SimilarityEngine,
-    plan: &crate::shard::ShardPlan,
-    par: &ParallelConfig,
-) -> PairData {
-    let jobs: Vec<_> = plan
-        .blocks()
-        .map(|(lo, hi)| {
-            move || {
-                let mut names: Vec<_> = scn
-                    .by_name
-                    .iter()
-                    .filter(|(n, vs)| n.0 >= lo && n.0 < hi && vs.len() >= 2)
-                    .collect();
-                names.sort_by_key(|(n, _)| n.0);
-                let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-                let mut vectors: Vec<SimilarityVector> = Vec::new();
-                for (_, vs) in names {
-                    for i in 0..vs.len() {
-                        for j in (i + 1)..vs.len() {
-                            pairs.push((vs[i].min(vs[j]), vs[i].max(vs[j])));
-                        }
-                    }
-                    vectors.extend(engine.similarity_block(ctx, vs));
-                }
-                (pairs, vectors)
-            }
-        })
-        .collect();
-    let mut data = PairData::default();
-    for (pairs, vectors) in iuad_par::parallel_jobs(par, jobs) {
-        data.pairs.extend(pairs);
-        data.vectors.extend(vectors);
-    }
-    debug_assert_eq!(data.vectors.len(), data.pairs.len());
-    data
+/// Same-name vertex groups with at least two members — the candidate
+/// sets — in ascending name order, the order pair data is laid out in.
+fn candidate_groups(scn: &Scn) -> Vec<&[VertexId]> {
+    let mut names: Vec<_> = scn.by_name.iter().filter(|(_, vs)| vs.len() >= 2).collect();
+    names.sort_by_key(|(n, _)| n.0);
+    names.into_iter().map(|(_, vs)| vs.as_slice()).collect()
 }
 
 /// Build the training rows: a seeded `sample_frac` sample of candidate
@@ -249,10 +210,7 @@ pub fn scores_for(
     vectors: &[SimilarityVector],
     features: &[usize],
 ) -> Vec<f64> {
-    vectors
-        .iter()
-        .map(|v| score_one(model, v, features))
-        .collect()
+    scores_for_parallel(model, vectors, features, &ParallelConfig::sequential())
 }
 
 /// Project `v` onto `features` (a stack buffer — `features.len()` is at most
@@ -306,118 +264,71 @@ pub fn clusters_from_scores(
 /// log-odds are extremely bimodal (|score| in the thousands), and unbounded
 /// averages let one overconfident accepting pair outvote many rejections.
 /// Clamping turns the linkage mean into a bounded vote.
+///
+/// `pairs` must be laid out as [`candidate_pair_data`] lays them out (name
+/// groups in ascending name order, each group's `(i, j)`, `i < j`, pairs
+/// in row-major order), so a pair's score is read by position; any other
+/// layout panics.
 pub fn clusters_by_linkage(
     scn: &Scn,
     pairs: &[(VertexId, VertexId)],
     scores: &[f64],
     delta: f64,
 ) -> (Vec<usize>, usize, usize) {
+    clusters_by_linkage_parallel(scn, pairs, scores, delta, &ParallelConfig::sequential())
+}
+
+/// [`clusters_by_linkage`] with the per-name agglomerations fanned across
+/// `par.threads` workers, one job per name group. Each group's clustering
+/// reads only its own pairs' scores, and cluster ids depend only on the
+/// resulting partition (densify orders by smallest member), so the output
+/// is identical at any thread count.
+pub fn clusters_by_linkage_parallel(
+    scn: &Scn,
+    pairs: &[(VertexId, VertexId)],
+    scores: &[f64],
+    delta: f64,
+    par: &ParallelConfig,
+) -> (Vec<usize>, usize, usize) {
     assert_eq!(pairs.len(), scores.len());
     let n = scn.graph.num_vertices();
-    let score_of: FxHashMap<(VertexId, VertexId), f64> = pairs
+    let groups = candidate_groups(scn);
+    // Each group with the position of its first pair.
+    let mut next = 0usize;
+    let spans: Vec<(usize, &[VertexId])> = groups
         .iter()
-        .copied()
-        .zip(scores.iter().map(|s| s.clamp(-SCORE_CLAMP, SCORE_CLAMP)))
+        .map(|&vs| {
+            let start = next;
+            next += vs.len() * (vs.len() - 1) / 2;
+            (start, vs)
+        })
         .collect();
-
-    let mut uf = UnionFind::new(n);
-    let mut names: Vec<_> = scn.by_name.iter().filter(|(_, vs)| vs.len() >= 2).collect();
-    names.sort_by_key(|(n, _)| n.0);
-    for (_, vs) in names {
-        let labels = iuad_cluster::hac(
-            vs.len(),
+    assert_eq!(next, pairs.len(), "pairs must follow the candidate layout");
+    let labels = iuad_par::parallel_map(par, &spans, |&(start, vs)| {
+        let k = vs.len();
+        iuad_cluster::hac(
+            k,
             |i, j| {
-                let key = (vs[i].min(vs[j]), vs[i].max(vs[j]));
-                -score_of.get(&key).copied().unwrap_or(f64::NEG_INFINITY)
+                let (i, j) = (i.min(j), i.max(j));
+                let at = start + i * (2 * k - i - 1) / 2 + (j - i - 1);
+                assert!(
+                    pairs[at] == (vs[i].min(vs[j]), vs[i].max(vs[j])),
+                    "pairs must follow the candidate layout"
+                );
+                -scores[at].clamp(-SCORE_CLAMP, SCORE_CLAMP)
             },
             iuad_cluster::Linkage::Average,
             -delta,
-        );
+        )
+    });
+    let mut uf = UnionFind::new(n);
+    for (vs, labels) in groups.iter().zip(labels) {
         for i in 0..vs.len() {
             for j in (i + 1)..vs.len() {
                 if labels[i] == labels[j] {
                     uf.union(vs[i].index(), vs[j].index());
                 }
             }
-        }
-    }
-    densify(&mut uf, n)
-}
-
-/// [`clusters_by_linkage`] sharded across the contiguous name blocks of
-/// `plan`. Requires `pairs` grouped by ascending name (the order every
-/// `candidate_pair_data*` constructor produces), so each block's pairs are
-/// one contiguous slice. Each block clusters its own name groups — HAC
-/// touches only same-name pairs — and returns its union operations; the
-/// global fold applies them and densifies. Cluster ids depend only on the
-/// resulting partition (densify orders by smallest member), so the output
-/// is bit-identical to the monolithic clustering.
-pub fn clusters_by_linkage_sharded(
-    scn: &Scn,
-    pairs: &[(VertexId, VertexId)],
-    scores: &[f64],
-    delta: f64,
-    plan: &crate::shard::ShardPlan,
-    par: &ParallelConfig,
-) -> (Vec<usize>, usize, usize) {
-    assert_eq!(pairs.len(), scores.len());
-    let n = scn.graph.num_vertices();
-    let pair_names: Vec<u32> = pairs
-        .iter()
-        .map(|&(a, _)| scn.graph.vertex(a).name.0)
-        .collect();
-    debug_assert!(
-        pair_names.windows(2).all(|w| w[0] <= w[1]),
-        "candidate pairs must be grouped by ascending name"
-    );
-    let jobs: Vec<_> = plan
-        .blocks()
-        .map(|(lo, hi)| {
-            let start = pair_names.partition_point(|&x| x < lo);
-            let end = pair_names.partition_point(|&x| x < hi);
-            move || {
-                let score_of: FxHashMap<(VertexId, VertexId), f64> = pairs[start..end]
-                    .iter()
-                    .copied()
-                    .zip(
-                        scores[start..end]
-                            .iter()
-                            .map(|s| s.clamp(-SCORE_CLAMP, SCORE_CLAMP)),
-                    )
-                    .collect();
-                let mut names: Vec<_> = scn
-                    .by_name
-                    .iter()
-                    .filter(|(n, vs)| n.0 >= lo && n.0 < hi && vs.len() >= 2)
-                    .collect();
-                names.sort_by_key(|(n, _)| n.0);
-                let mut unions: Vec<(usize, usize)> = Vec::new();
-                for (_, vs) in names {
-                    let labels = iuad_cluster::hac(
-                        vs.len(),
-                        |i, j| {
-                            let key = (vs[i].min(vs[j]), vs[i].max(vs[j]));
-                            -score_of.get(&key).copied().unwrap_or(f64::NEG_INFINITY)
-                        },
-                        iuad_cluster::Linkage::Average,
-                        -delta,
-                    );
-                    for i in 0..vs.len() {
-                        for j in (i + 1)..vs.len() {
-                            if labels[i] == labels[j] {
-                                unions.push((vs[i].index(), vs[j].index()));
-                            }
-                        }
-                    }
-                }
-                unions
-            }
-        })
-        .collect();
-    let mut uf = UnionFind::new(n);
-    for unions in iuad_par::parallel_jobs(par, jobs) {
-        for (a, b) in unions {
-            uf.union(a, b);
         }
     }
     densify(&mut uf, n)
@@ -471,13 +382,14 @@ impl Gcn {
         engine: &SimilarityEngine,
         cfg: &GcnConfig,
     ) -> Gcn {
-        Self::build_inner(scn, ctx, engine, cfg, &[], &ParallelConfig::sequential())
+        Self::build_parallel(scn, ctx, engine, cfg, &ParallelConfig::sequential())
     }
 
-    /// Run the full Stage 2 with the candidate γ-vector computation and
-    /// pair scoring fanned across `par.threads` workers. EM training stays
-    /// sequential (it is a seeded, iterative fixpoint), so the result is
-    /// identical to [`Gcn::build`] at any thread count.
+    /// Run the full Stage 2 with the candidate γ-vector computation, pair
+    /// scoring and per-name clustering fanned across `par.threads`
+    /// workers. EM training stays sequential (it is a seeded, iterative
+    /// fixpoint), so the result is identical to [`Gcn::build`] at any
+    /// thread count.
     pub fn build_parallel(
         scn: &Scn,
         ctx: &ProfileContext,
@@ -485,7 +397,7 @@ impl Gcn {
         cfg: &GcnConfig,
         par: &ParallelConfig,
     ) -> Gcn {
-        Self::build_inner(scn, ctx, engine, cfg, &[], par)
+        Self::build_inner(scn, ctx, engine, cfg, &[], par, &mut StageTimes::default())
     }
 
     /// Semi-supervised Stage 2: like [`Gcn::build`], but additionally pins
@@ -499,91 +411,63 @@ impl Gcn {
         cfg: &GcnConfig,
         labels: &[LabeledPair],
     ) -> Gcn {
-        Self::build_inner(scn, ctx, engine, cfg, labels, &ParallelConfig::sequential())
+        Self::build_inner(
+            scn,
+            ctx,
+            engine,
+            cfg,
+            labels,
+            &ParallelConfig::sequential(),
+            &mut StageTimes::default(),
+        )
     }
 
-    /// Run the full Stage 2 with γ-vector computation and clustering
-    /// sharded across the name blocks of `plan`. Candidate data
-    /// concatenates in monolith order, the training sample and EM fit stay
-    /// global (one seeded rng over the concatenated vectors), scoring is a
-    /// pure map, and the sharded clustering reproduces the monolithic
-    /// partition — so the result is bit-identical to [`Gcn::build_parallel`].
-    pub fn build_sharded(
-        scn: &Scn,
-        ctx: &ProfileContext,
-        engine: &SimilarityEngine,
-        cfg: &GcnConfig,
-        plan: &crate::shard::ShardPlan,
-        par: &ParallelConfig,
-    ) -> Gcn {
-        let data = candidate_pair_data_sharded(scn, ctx, engine, plan, par);
-        let (rows, anchors) = training_rows(&data, scn, ctx, engine, cfg);
-        let all_features: Vec<usize> = (0..NUM_SIMILARITIES).collect();
-        let model = fit_model(&rows, &anchors, &all_features, &cfg.em);
-        let (cluster_of_vertex, num_clusters, num_merges) = match &model {
-            Some(m) => {
-                let scores = scores_for_parallel(m, &data.vectors, &all_features, par);
-                match cfg.merge_policy {
-                    MergePolicy::Transitive => {
-                        clusters_from_scores(scn, &data.pairs, &scores, cfg.delta)
-                    }
-                    MergePolicy::AverageLinkage => {
-                        clusters_by_linkage_sharded(scn, &data.pairs, &scores, cfg.delta, plan, par)
-                    }
-                }
-            }
-            None => {
-                let n = scn.graph.num_vertices();
-                ((0..n).collect(), n, 0)
-            }
-        };
-        Gcn {
-            model,
-            cluster_of_vertex,
-            num_clusters,
-            num_merges,
-            pairs_scored: data.pairs.len(),
-        }
-    }
-
-    fn build_inner(
+    /// The one Stage-2 body behind every `build*` entry point and
+    /// [`crate::Iuad::fit`], recording its three stages into `times`.
+    pub(crate) fn build_inner(
         scn: &Scn,
         ctx: &ProfileContext,
         engine: &SimilarityEngine,
         cfg: &GcnConfig,
         labels: &[LabeledPair],
         par: &ParallelConfig,
+        times: &mut StageTimes,
     ) -> Gcn {
-        let data = candidate_pair_data_parallel(scn, ctx, engine, par);
-        let (mut rows, mut anchors) = training_rows(&data, scn, ctx, engine, cfg);
-        for &((a, b), matched) in labels {
-            let key = (a.min(b), a.max(b));
-            // Locate the labelled pair's γ-vector among the candidates; a
-            // pair that is not a candidate (different names) is ignored.
-            if let Some(i) = data.pairs.iter().position(|&p| p == key) {
-                rows.push(data.vectors[i].to_vec());
-                anchors.push(Some(if matched { 0.99 } else { 0.01 }));
-            }
-        }
+        let data = times.time("candidate_pair_data", || {
+            candidate_pair_data_parallel(scn, ctx, engine, par)
+        });
         let all_features: Vec<usize> = (0..NUM_SIMILARITIES).collect();
-        let model = fit_model(&rows, &anchors, &all_features, &cfg.em);
-        let (cluster_of_vertex, num_clusters, num_merges) = match &model {
-            Some(m) => {
-                let scores = scores_for_parallel(m, &data.vectors, &all_features, par);
-                match cfg.merge_policy {
-                    MergePolicy::Transitive => {
-                        clusters_from_scores(scn, &data.pairs, &scores, cfg.delta)
-                    }
-                    MergePolicy::AverageLinkage => {
-                        clusters_by_linkage(scn, &data.pairs, &scores, cfg.delta)
-                    }
+        let model = times.time("mixture_fit", || {
+            let (mut rows, mut anchors) = training_rows(&data, scn, ctx, engine, cfg);
+            for &((a, b), matched) in labels {
+                let key = (a.min(b), a.max(b));
+                // Locate the labelled pair's γ-vector among the candidates; a
+                // pair that is not a candidate (different names) is ignored.
+                if let Some(i) = data.pairs.iter().position(|&p| p == key) {
+                    rows.push(data.vectors[i].to_vec());
+                    anchors.push(Some(if matched { 0.99 } else { 0.01 }));
                 }
             }
-            None => {
-                let n = scn.graph.num_vertices();
-                ((0..n).collect(), n, 0)
-            }
-        };
+            fit_model(&rows, &anchors, &all_features, &cfg.em)
+        });
+        let (cluster_of_vertex, num_clusters, num_merges) =
+            times.time("score_and_cluster", || match &model {
+                Some(m) => {
+                    let scores = scores_for_parallel(m, &data.vectors, &all_features, par);
+                    match cfg.merge_policy {
+                        MergePolicy::Transitive => {
+                            clusters_from_scores(scn, &data.pairs, &scores, cfg.delta)
+                        }
+                        MergePolicy::AverageLinkage => {
+                            clusters_by_linkage_parallel(scn, &data.pairs, &scores, cfg.delta, par)
+                        }
+                    }
+                }
+                None => {
+                    let n = scn.graph.num_vertices();
+                    ((0..n).collect(), n, 0)
+                }
+            });
         Gcn {
             model,
             cluster_of_vertex,

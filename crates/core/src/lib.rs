@@ -37,8 +37,8 @@ pub mod incremental;
 pub mod pipeline;
 pub mod profile;
 pub mod scn;
-pub mod shard;
 pub mod similarity;
+pub mod stages;
 
 pub use gcn::{merge_network, Gcn, GcnConfig, MergePlan, MergePolicy};
 pub use incremental::{
@@ -48,5 +48,5 @@ pub use iuad_par::ParallelConfig;
 pub use pipeline::{FittedState, Iuad, IuadConfig};
 pub use profile::{KeywordSlab, KeywordYears, ProfileContext, VenueCounts, VertexProfile};
 pub use scn::{EdgeData, Scn, ScnVertex};
-pub use shard::ShardPlan;
 pub use similarity::{CacheScope, SimilarityEngine, SimilarityVector, FAMILIES, NUM_SIMILARITIES};
+pub use stages::StageTimes;

@@ -1,6 +1,8 @@
 //! The end-to-end IUAD pipeline (Algorithm 1): SCN → GCN → merged network,
 //! plus the incremental interface.
 
+use std::time::Instant;
+
 use rustc_hash::FxHashMap;
 
 use iuad_corpus::{Corpus, Mention, NameId, Paper};
@@ -13,6 +15,7 @@ use crate::incremental::{
 use crate::profile::ProfileContext;
 use crate::scn::Scn;
 use crate::similarity::{CacheScope, SimilarityEngine};
+use crate::stages::StageTimes;
 
 /// Full pipeline configuration.
 #[derive(Debug, Clone)]
@@ -66,45 +69,71 @@ pub struct Iuad {
     pub network: Scn,
     /// Similarity caches over `network` (for incremental queries).
     engine: SimilarityEngine,
+    /// Wall time of each stage of the fit that produced this pipeline.
+    pub stage_times: StageTimes,
 }
 
 impl Iuad {
     /// Run both stages on a corpus. With `config.parallel.threads > 1` the
     /// O(n²) kernels — per-vertex feature caching, pairwise γ-similarity,
-    /// and pair scoring — fan out across worker threads; the fitted result
-    /// is identical at any thread count.
+    /// pair scoring, and per-name clustering — fan out across worker
+    /// threads; the fitted result is identical at any thread count. Each
+    /// stage's wall time lands in [`Iuad::stage_times`].
     pub fn fit(corpus: &Corpus, config: &IuadConfig) -> Iuad {
+        let start = Instant::now();
         let par = &config.parallel;
-        let ctx = ProfileContext::build_parallel(
-            corpus,
-            config.embedding_dim,
-            config.embedding_seed,
-            par,
-        );
-        let scn = Scn::build_parallel(corpus, config.eta, par);
-        let stage2_engine = SimilarityEngine::build_parallel(
+        let mut times = StageTimes::default();
+        let (ctx, sgns) = times.time("profile_context", || {
+            ProfileContext::build_with_stats(
+                corpus,
+                config.embedding_dim,
+                config.embedding_seed,
+                par,
+            )
+        });
+        // Inner timings of the profile_context window, not extra stages.
+        times.record("sgns_vocab_build", sgns.vocab_seconds);
+        times.record("sgns_sampler_build", sgns.sampler_seconds);
+        times.record("sgns_epoch_loop", sgns.epochs_seconds);
+        let scn = times.time("scn_build", || Scn::build_parallel(corpus, config.eta, par));
+        let stage2_engine = times.time("similarity_engine_build", || {
+            SimilarityEngine::build_parallel(
+                &scn,
+                &ctx,
+                config.alpha,
+                config.wl_iters,
+                CacheScope::AmbiguousOnly,
+                par,
+            )
+        });
+        let gcn = Gcn::build_inner(
             &scn,
             &ctx,
-            config.alpha,
-            config.wl_iters,
-            CacheScope::AmbiguousOnly,
+            &stage2_engine,
+            &config.gcn,
+            &[],
             par,
+            &mut times,
         );
-        let gcn = Gcn::build_parallel(&scn, &ctx, &stage2_engine, &config.gcn, par);
-        let (network, plan) = merge_network(corpus, &scn, &gcn.cluster_of_vertex);
+        let (network, plan) = times.time("merge_network", || {
+            merge_network(corpus, &scn, &gcn.cluster_of_vertex)
+        });
         // Derive the post-merge engine from the Stage-2 engine instead of
         // rebuilding it from scratch: only the dirty region around
         // coalesced clusters is recomputed, and the result is bit-identical
         // to a full rebuild (checked below in debug builds, and per
         // scenario by the conformance harness).
-        let engine = SimilarityEngine::derive(
-            stage2_engine,
-            &plan,
-            &network,
-            &ctx,
-            CacheScope::AmbiguousOnly,
-            par,
-        );
+        let engine = times.time("engine_derive", || {
+            SimilarityEngine::derive(
+                stage2_engine,
+                &plan,
+                &network,
+                &ctx,
+                CacheScope::AmbiguousOnly,
+                par,
+            )
+        });
+        times.set_total(start);
         #[cfg(debug_assertions)]
         {
             let rebuilt = SimilarityEngine::build_parallel(
@@ -126,54 +155,7 @@ impl Iuad {
             gcn,
             network,
             engine,
-        }
-    }
-
-    /// Run both stages sharded across `num_blocks` name-disjoint blocks
-    /// (see [`crate::shard::ShardPlan`]). Every per-name stage — the SCN
-    /// mention scan, similarity-cache extraction, candidate-pair scoring,
-    /// and per-name clustering — fans out one job per block; the global
-    /// passes (η-SCR mining, EM training, merge, derive) are unchanged.
-    /// The fitted result is **bit-identical** to [`Iuad::fit`] at any block
-    /// count (pinned per scenario by the `sharded-fit-matches-monolith`
-    /// invariant), while the peak working set per worker shrinks to one
-    /// block's share of the name space.
-    pub fn fit_sharded(corpus: &Corpus, config: &IuadConfig, num_blocks: usize) -> Iuad {
-        let par = &config.parallel;
-        let plan = crate::shard::ShardPlan::for_corpus(corpus, num_blocks);
-        let ctx = ProfileContext::build_parallel(
-            corpus,
-            config.embedding_dim,
-            config.embedding_seed,
-            par,
-        );
-        let scn = Scn::build_sharded(corpus, config.eta, &plan, par);
-        let stage2_engine = SimilarityEngine::build_sharded(
-            &scn,
-            &ctx,
-            config.alpha,
-            config.wl_iters,
-            CacheScope::AmbiguousOnly,
-            &plan,
-            par,
-        );
-        let gcn = Gcn::build_sharded(&scn, &ctx, &stage2_engine, &config.gcn, &plan, par);
-        let (network, merge_plan) = merge_network(corpus, &scn, &gcn.cluster_of_vertex);
-        let engine = SimilarityEngine::derive(
-            stage2_engine,
-            &merge_plan,
-            &network,
-            &ctx,
-            CacheScope::AmbiguousOnly,
-            par,
-        );
-        Iuad {
-            config: config.clone(),
-            ctx,
-            scn,
-            gcn,
-            network,
-            engine,
+            stage_times: times,
         }
     }
 
@@ -429,24 +411,28 @@ mod tests {
     }
 
     #[test]
-    fn fit_sharded_matches_fit_at_any_block_count() {
-        let c = corpus();
-        let mono = Iuad::fit(&c, &IuadConfig::default());
-        for blocks in [1, 2, 3, 7] {
-            let sharded = Iuad::fit_sharded(&c, &IuadConfig::default(), blocks);
-            assert_eq!(
-                sharded.assignments(),
-                mono.assignments(),
-                "final assignments diverged at {blocks} blocks"
-            );
-            assert_eq!(
-                sharded.stage1_assignments(),
-                mono.stage1_assignments(),
-                "stage-1 assignments diverged at {blocks} blocks"
-            );
-            assert_eq!(sharded.gcn.cluster_of_vertex, mono.gcn.cluster_of_vertex);
-            assert_eq!(sharded.gcn.pairs_scored, mono.gcn.pairs_scored);
-        }
+    fn fit_records_the_bench_stage_ids_in_order() {
+        let iuad = Iuad::fit(&corpus(), &IuadConfig::default());
+        let times = &iuad.stage_times;
+        let ids: Vec<&str> = times.stages().iter().map(|&(id, _)| id).collect();
+        assert_eq!(
+            ids,
+            [
+                "profile_context",
+                "sgns_vocab_build",
+                "sgns_sampler_build",
+                "sgns_epoch_loop",
+                "scn_build",
+                "similarity_engine_build",
+                "candidate_pair_data",
+                "mixture_fit",
+                "score_and_cluster",
+                "merge_network",
+                "engine_derive",
+            ]
+        );
+        assert!(times.stages().iter().all(|&(_, s)| s >= 0.0));
+        assert!(times.total_seconds() >= times.seconds("engine_derive").unwrap());
     }
 
     #[test]

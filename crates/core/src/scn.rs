@@ -75,34 +75,8 @@ impl Scn {
     /// count.
     pub fn build_parallel(corpus: &Corpus, eta: u32, par: &ParallelConfig) -> Scn {
         let mine = ScnMine::build(corpus, eta, par);
-        let scan = mine.scan_mentions(corpus, 0, u32::MAX);
-        mine.assemble(corpus, vec![scan])
-    }
-
-    /// [`Scn::build_parallel`] with the mention-assignment scan sharded
-    /// across contiguous name-id blocks, each block running as one
-    /// `iuad-par` job. Bit-identical to the monolithic build: SCR mining
-    /// and the triangle-rule proto fold are global (they are inherently
-    /// cross-name), each block's scan touches only proto vertices on its
-    /// own names (see `ScnMine::scan_mentions`), and the join rebuilds
-    /// the final graph in canonical (paper, slot) order exactly as the
-    /// monolith does.
-    pub fn build_sharded(
-        corpus: &Corpus,
-        eta: u32,
-        plan: &crate::shard::ShardPlan,
-        par: &ParallelConfig,
-    ) -> Scn {
-        let mine = ScnMine::build(corpus, eta, par);
-        let jobs: Vec<_> = plan
-            .blocks()
-            .map(|(lo, hi)| {
-                let mine = &mine;
-                move || mine.scan_mentions(corpus, lo, hi)
-            })
-            .collect();
-        let scans = iuad_par::parallel_jobs(par, jobs);
-        mine.assemble(corpus, scans)
+        let scan = mine.scan_mentions(corpus);
+        mine.assemble(corpus, scan)
     }
 
     /// Freeze this network's adjacency as a [`iuad_graph::Csr`] snapshot —
@@ -138,9 +112,8 @@ impl Scn {
 }
 
 /// The global (cross-name) part of SCN construction: mined η-SCRs plus the
-/// realised proto graph from the stable-triangle fold. Everything downstream
-/// of this — the per-mention coverage scan — is name-disjoint and shards
-/// freely (see `ScnMine::scan_mentions`).
+/// realised proto graph from the stable-triangle fold, which the
+/// per-mention coverage scan (`ScnMine::scan_mentions`) reads.
 pub(crate) struct ScnMine {
     /// Per-paper sorted, deduplicated author-name lists.
     name_lists: Vec<Vec<u32>>,
@@ -153,8 +126,8 @@ pub(crate) struct ScnMine {
     eta: u32,
 }
 
-/// One block's mention-assignment output: raw proto assignments, proof
-/// unions between same-name proto vertices, and the uncovered singletons.
+/// The mention-assignment output: raw proto assignments, proof unions
+/// between same-name proto vertices, and the uncovered singletons.
 pub(crate) struct MentionScan {
     /// Covered mention → proto vertex id.
     raw: Vec<(Mention, usize)>,
@@ -167,8 +140,7 @@ pub(crate) struct MentionScan {
 impl ScnMine {
     /// η-SCR mining plus the sequential SCR-insertion fold with the
     /// stable-triangle rule. The fold walks SCRs strongest-first across
-    /// *all* names (a triangle can span any three names), so it stays
-    /// global under sharding.
+    /// *all* names (a triangle can span any three names).
     fn build(corpus: &Corpus, eta: u32, par: &ParallelConfig) -> ScnMine {
         assert!(eta >= 2, "eta must be at least 2");
         // --- η-SCR mining (frequent 2-itemsets over co-author lists) -----
@@ -232,19 +204,11 @@ impl ScnMine {
         }
     }
 
-    /// Mention assignment for the mentions whose *own* name lies in
-    /// `[name_lo, name_hi)`. Covered mentions go to SCR vertices; a paper
+    /// Mention assignment. Covered mentions go to SCR vertices; a paper
     /// whose mention touches two different SCR vertices of the same name
     /// proves those vertices identical (one person wrote that slot), so
     /// they are queued for union.
-    ///
-    /// This is the name-disjoint shardable phase: for a mention of name
-    /// `a`, `mine` below is always the `a`-side endpoint of the SCR edge,
-    /// so every raw assignment and every pending union produced here
-    /// involves only proto vertices *of names in this block*. Blocks
-    /// therefore write disjoint state, and scanning blocks in any order
-    /// (or concurrently) reproduces the monolithic scan exactly.
-    fn scan_mentions(&self, corpus: &Corpus, name_lo: u32, name_hi: u32) -> MentionScan {
+    fn scan_mentions(&self, corpus: &Corpus) -> MentionScan {
         let mut scan = MentionScan {
             raw: Vec::new(),
             pending_unions: Vec::new(),
@@ -253,9 +217,6 @@ impl ScnMine {
         for (p, names) in corpus.papers.iter().zip(&self.name_lists) {
             for (slot, &n) in p.authors.iter().enumerate() {
                 let a = n.0;
-                if a < name_lo || a >= name_hi {
-                    continue;
-                }
                 let mention = Mention::new(p.id, slot);
                 let mut assigned: Option<usize> = None;
                 for &b in names.iter().filter(|&&b| b != a) {
@@ -282,25 +243,18 @@ impl ScnMine {
         scan
     }
 
-    /// Join the block scans and rebuild the final network. Singleton ids
-    /// never participate in a union, and the rebuild renumbers union-find
-    /// roots by first appearance in (paper, slot) mention order, so the
-    /// result is independent of block count and block boundaries.
-    fn assemble(self, corpus: &Corpus, scans: Vec<MentionScan>) -> Scn {
-        let num_uncovered: usize = scans.iter().map(|s| s.uncovered.len()).sum();
-        let num_raw: usize = scans.iter().map(|s| s.raw.len()).sum();
-        let mut uf = UnionFind::new(self.num_proto + num_uncovered);
-        let mut ordered: Vec<(Mention, usize)> = Vec::with_capacity(num_raw + num_uncovered);
-        let mut next_singleton = self.num_proto;
-        for scan in scans {
-            for &(x, y) in &scan.pending_unions {
-                uf.union(x, y);
-            }
-            ordered.extend(scan.raw);
-            for m in scan.uncovered {
-                ordered.push((m, next_singleton));
-                next_singleton += 1;
-            }
+    /// Apply the scan's unions and rebuild the final network. Singleton
+    /// ids never participate in a union, and the rebuild renumbers
+    /// union-find roots by first appearance in (paper, slot) mention order.
+    fn assemble(self, corpus: &Corpus, scan: MentionScan) -> Scn {
+        let mut uf = UnionFind::new(self.num_proto + scan.uncovered.len());
+        for &(x, y) in &scan.pending_unions {
+            uf.union(x, y);
+        }
+        let mut ordered = scan.raw;
+        ordered.reserve(scan.uncovered.len());
+        for (i, m) in scan.uncovered.into_iter().enumerate() {
+            ordered.push((m, self.num_proto + i));
         }
 
         // --- Rebuild the final graph ---------------------------------------
@@ -525,41 +479,6 @@ mod tests {
     #[should_panic(expected = "eta")]
     fn eta_one_rejected() {
         let _ = Scn::build(&figure2_corpus(), 1);
-    }
-
-    /// The sharded build must reproduce the monolithic network exactly —
-    /// same assignment, same by_name groups — at any block count,
-    /// including blocks that slice straight through SCR name pairs.
-    #[test]
-    fn sharded_build_matches_monolith() {
-        let cases = [
-            figure2_corpus(),
-            Corpus::generate(&iuad_corpus::CorpusConfig {
-                num_authors: 150,
-                num_papers: 600,
-                seed: 7,
-                ..Default::default()
-            }),
-        ];
-        let par = ParallelConfig::sequential();
-        for c in &cases {
-            let mono = Scn::build(c, 2);
-            for blocks in [1usize, 2, 3, 7] {
-                let plan = crate::shard::ShardPlan::for_corpus(c, blocks);
-                let sharded = Scn::build_sharded(c, 2, &plan, &par);
-                assert_eq!(sharded.assignment, mono.assignment, "blocks = {blocks}");
-                assert_eq!(
-                    sharded.graph.num_vertices(),
-                    mono.graph.num_vertices(),
-                    "blocks = {blocks}"
-                );
-                assert_eq!(
-                    sharded.graph.num_edges(),
-                    mono.graph.num_edges(),
-                    "blocks = {blocks}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -413,137 +413,6 @@ impl SimilarityEngine {
         }
     }
 
-    /// [`Self::build_parallel`] with the per-vertex cache construction
-    /// sharded across the contiguous name blocks of `plan`, one `iuad-par`
-    /// job per block. Bit-identical to the monolithic build: every cached
-    /// feature is a pure function of `(scn, ctx)` for its own vertex (or
-    /// its own name group, which a block contains whole), and placement
-    /// into the engine's slabs is positional by global vertex id — block
-    /// boundaries change only which worker computes a value, never the
-    /// value or where it lands.
-    pub fn build_sharded(
-        scn: &Scn,
-        ctx: &ProfileContext,
-        alpha: f64,
-        wl_iters: usize,
-        scope: CacheScope,
-        plan: &crate::shard::ShardPlan,
-        par: &ParallelConfig,
-    ) -> Self {
-        let verts: Vec<VertexId> = scn.graph.vertices().map(|(v, _)| v).collect();
-        let profiles: Vec<VertexProfile> = iuad_par::parallel_map(par, &verts, |&v| {
-            let payload = scn.graph.vertex(v);
-            VertexProfile::from_mentions(payload.name, &payload.mentions, ctx)
-        });
-
-        let csr = scn.csr();
-        let names: Vec<u64> = scn
-            .graph
-            .vertices()
-            .map(|(_, p)| u64::from(p.name.0))
-            .collect();
-        let rank = bfs_rank(&csr);
-
-        // Phase A: per-block structural feature extraction. A block's
-        // scoped set is exactly the monolith's scoped set restricted to
-        // the block's names, so the union over blocks is the monolith's.
-        let feature_jobs: Vec<_> = plan
-            .blocks()
-            .map(|(lo, hi)| {
-                let (csr, names, rank) = (&csr, &names, &rank);
-                move || {
-                    let mut scoped: Vec<VertexId> = scn
-                        .by_name
-                        .iter()
-                        .filter(|(n, vs)| {
-                            n.0 >= lo && n.0 < hi && (scope == CacheScope::All || vs.len() >= 2)
-                        })
-                        .flat_map(|(_, vs)| vs.iter().copied())
-                        .collect();
-                    scoped.sort_unstable();
-                    scoped.dedup();
-                    scoped.sort_unstable_by_key(|v| rank[v.index()]);
-                    let features: Vec<_> = scoped
-                        .iter()
-                        .map(|&v| {
-                            (
-                                Self::wl_of_csr(csr, names, v, wl_iters),
-                                Self::name_triangles_csr(csr, scn, v),
-                            )
-                        })
-                        .collect();
-                    (scoped, features)
-                }
-            })
-            .collect();
-        let mut wl: Vec<Option<SparseFeatures>> = vec![None; profiles.len()];
-        let mut tris: Vec<Option<Vec<(u32, u32)>>> = vec![None; profiles.len()];
-        for (scoped, features) in iuad_par::parallel_jobs(par, feature_jobs) {
-            for (&v, (w, t)) in scoped.iter().zip(features) {
-                wl[v.index()] = Some(w);
-                tris[v.index()] = Some(t);
-            }
-        }
-
-        // Phase B: per-block group join evidence over the filled slabs.
-        // Name groups never straddle a block boundary, so each job reads
-        // and produces evidence for whole groups only.
-        let evidence_jobs: Vec<_> = plan
-            .blocks()
-            .map(|(lo, hi)| {
-                let (wl, tris, profiles) = (&wl, &tris, &profiles);
-                move || {
-                    let groups: Vec<&[VertexId]> = scn
-                        .by_name
-                        .iter()
-                        .filter(|(n, vs)| {
-                            n.0 >= lo && n.0 < hi && vs.len() >= JOIN_EVIDENCE_MIN_GROUP
-                        })
-                        .map(|(_, vs)| vs.as_slice())
-                        .collect();
-                    let evidence: Vec<_> = groups
-                        .iter()
-                        .map(|vs| Self::group_join_evidence(vs, wl, tris, profiles))
-                        .collect();
-                    (groups, evidence)
-                }
-            })
-            .collect();
-        let mut join: Vec<Option<JoinEvidence>> = Vec::with_capacity(profiles.len());
-        join.resize_with(profiles.len(), || None);
-        let mut join_groups: rustc_hash::FxHashMap<iuad_corpus::NameId, Vec<VertexId>> =
-            rustc_hash::FxHashMap::default();
-        for (groups, group_evidence) in iuad_par::parallel_jobs(par, evidence_jobs) {
-            for (vs, evidence) in groups.iter().zip(group_evidence) {
-                for (&v, e) in vs.iter().zip(evidence) {
-                    join[v.index()] = e;
-                }
-                if let Some(&v0) = vs.first() {
-                    join_groups.insert(profiles[v0.index()].name, vs.to_vec());
-                }
-            }
-        }
-
-        let cnorm: Vec<f64> = profiles
-            .iter()
-            .map(|p| iuad_text::norm(&p.keyword_centroid))
-            .collect();
-        let g4_exp: Vec<f64> = (0..GAMMA4_TABLE_LEN)
-            .map(|g| (-alpha * g as f64).exp())
-            .collect();
-        SimilarityEngine {
-            profiles,
-            wl,
-            tris,
-            join,
-            join_groups,
-            cnorm,
-            g4_exp,
-            alpha,
-            wl_iters,
-        }
-    }
-
     /// [`JoinEvidence`] for every member of one name group, in `vs` order
     /// (`None` for members without cached structural features).
     ///

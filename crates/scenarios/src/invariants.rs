@@ -187,45 +187,6 @@ pub fn parallel_config_invariance(
     }
 }
 
-/// The name-block-sharded fit ([`Iuad::fit_sharded`]) is bit-identical to
-/// the monolith: refit with a 4-block shard plan and compare canonical
-/// partitions (which subsumes fingerprint equality — the scenario
-/// fingerprint hashes exactly these labels). Sharding fans the per-name
-/// stages out over contiguous name-id blocks, and every cross-block
-/// artefact (proto-vertex unions, pair arrays, cluster unions) joins in
-/// block order, so no merge decision may move.
-pub fn sharded_fit_matches_monolith(
-    corpus: &Corpus,
-    config: &IuadConfig,
-    main_labels: &[usize],
-) -> InvariantReport {
-    const NAME: &str = "sharded-fit-matches-monolith";
-    let sharded = Iuad::fit_sharded(corpus, config, 4);
-    let labels = canonical_labels(corpus, |m| {
-        sharded
-            .network
-            .assignment
-            .get(&m)
-            .map_or(usize::MAX, |v| v.index())
-    });
-    if labels == main_labels {
-        InvariantReport::ok(
-            NAME,
-            format!(
-                "4-block sharded fit reproduced the partition exactly \
-                 ({} mentions)",
-                labels.len()
-            ),
-        )
-    } else {
-        let first = main_labels.iter().zip(&labels).position(|(a, b)| a != b);
-        InvariantReport::fail(
-            NAME,
-            format!("sharded partition diverges at canonical mention index {first:?}"),
-        )
-    }
-}
-
 /// Stage 1 is *exactly* invariant under paper-order permutation: SCR
 /// supports are order-free counts and every tie-break is content-keyed, so
 /// the permuted corpus must yield the identical mention partition.

@@ -11,8 +11,8 @@ use crate::fingerprint::{canonical_labels, fingerprint_hex, fingerprint_of_label
 use crate::invariants::{
     derive_matches_rebuild, duplicate_injection_cocluster, incremental_consistency,
     oracle_merge_monotone_recall, parallel_config_invariance, partition_structure,
-    pipeline_permutation_robustness, sharded_fit_matches_monolith, stage1_permutation_invariance,
-    wal_compaction_matches_live, wal_replay_matches_live, InvariantReport,
+    pipeline_permutation_robustness, stage1_permutation_invariance, wal_compaction_matches_live,
+    wal_replay_matches_live, InvariantReport,
 };
 
 /// Streaming statistics from the incremental-consistency invariant.
@@ -142,7 +142,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     let mut invariants = vec![
         partition_structure(&corpus, &iuad),
         parallel_config_invariance(&corpus, &config, &labels),
-        sharded_fit_matches_monolith(&corpus, &config, &labels),
         stage1_permutation_invariance(&corpus, &iuad, spec),
         pipeline_permutation_robustness(&corpus, &config, spec, &test, iuad_b3_f),
         duplicate_injection_cocluster(&corpus, &config, spec),

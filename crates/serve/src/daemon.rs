@@ -26,7 +26,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -490,10 +490,16 @@ pub(crate) fn worker_loop(
         match serve_connection(stream, ctx) {
             ConnState::Closed => {}
             ConnState::Idle(stream) => {
-                let waiting = conn_rx
-                    .lock()
-                    .expect("connection queue poisoned")
-                    .try_recv();
+                // `try_lock`, not `lock`: the idle workers re-take this
+                // mutex after every `recv_timeout`, so blocking on it here
+                // can starve this worker and leave its connection unread.
+                // A worker only holds the lock inside `recv` while the
+                // queue is empty, so "busy" means nobody is waiting.
+                let waiting = match conn_rx.try_lock() {
+                    Ok(rx) => rx.try_recv(),
+                    Err(TryLockError::WouldBlock) => Err(TryRecvError::Empty),
+                    Err(TryLockError::Poisoned(_)) => panic!("connection queue poisoned"),
+                };
                 match waiting {
                     // Someone is waiting: rotate the idle connection to
                     // the back of the queue and serve the waiter.

@@ -94,26 +94,6 @@ fn fingerprint_matches_recorded_seed_baseline() {
     );
 }
 
-/// The name-block-sharded fit must land on the *same* recorded seed
-/// baseline as the monolith — sharding is an execution strategy, not a
-/// behaviour change — at every block count, including plans with more
-/// blocks than the balancer can fill.
-#[test]
-fn sharded_fit_matches_recorded_seed_baseline_at_any_block_count() {
-    let c = corpus();
-    for blocks in [2, 5, 16] {
-        let iuad = Iuad::fit_sharded(&c, &IuadConfig::default(), blocks);
-        let fp = fingerprint(&iuad);
-        assert_eq!(
-            fingerprint_hash(&fp),
-            SEED_FINGERPRINT_HASH,
-            "{blocks}-block sharded fit diverged from the seed baseline \
-             (actual hash: {:#018x})",
-            fingerprint_hash(&fp)
-        );
-    }
-}
-
 /// The golden per-scenario fingerprints, duplicated from
 /// `crates/scenarios/src/golden.rs` as an independent pin: the merge-aware
 /// engine derivation and the CSR structural kernels must not flip a single

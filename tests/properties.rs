@@ -517,51 +517,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    /// A shard plan partitions the name-id space exhaustively into
-    /// disjoint, ordered, non-empty contiguous blocks for *any* weight
-    /// profile — the three invariants the sharded fit's bit-identity
-    /// argument rests on (every name scanned exactly once, and per-block
-    /// outputs concatenating in ascending name order).
-    #[test]
-    fn shard_plan_is_exhaustive_and_name_disjoint(
-        weights in prop::collection::vec(0u64..1000, 0..200),
-        num_blocks in 1usize..12,
-    ) {
-        use iuad_suite::core::ShardPlan;
-        let plan = ShardPlan::from_weights(&weights, num_blocks);
-        let blocks: Vec<(u32, u32)> = plan.blocks().collect();
-        if weights.is_empty() {
-            prop_assert_eq!(plan.num_blocks(), 0);
-            prop_assert_eq!(plan.block_of(0), None);
-            return Ok(());
-        }
-        // Never more blocks than requested, never an empty block.
-        prop_assert!(blocks.len() <= num_blocks);
-        for &(lo, hi) in &blocks {
-            prop_assert!(lo < hi, "empty block [{}, {})", lo, hi);
-        }
-        // Ordered + disjoint + exhaustive: the blocks tile [0, num_names)
-        // contiguously...
-        prop_assert_eq!(blocks[0].0, 0);
-        prop_assert_eq!(blocks.last().unwrap().1, weights.len() as u32);
-        for w in blocks.windows(2) {
-            prop_assert_eq!(w[0].1, w[1].0, "gap or overlap between blocks");
-        }
-        // ...so every name id lands in exactly one block, and `block_of`
-        // agrees with the tiling.
-        let mut owners = vec![0u32; weights.len()];
-        for &(lo, hi) in &blocks {
-            for n in lo..hi {
-                owners[n as usize] += 1;
-            }
-        }
-        prop_assert!(owners.iter().all(|&c| c == 1));
-        for n in 0..weights.len() as u32 {
-            let i = plan.block_of(n).expect("every name in some block");
-            prop_assert!(blocks[i].0 <= n && n < blocks[i].1);
-        }
-        prop_assert_eq!(plan.block_of(weights.len() as u32), None);
-    }
-}

@@ -171,6 +171,54 @@ fn more_clients_than_workers_all_make_progress() {
     daemon.shutdown();
 }
 
+/// A connection that idles past the daemon's 250 ms read tick goes back
+/// through the shared connection queue. The worker rotating it must not
+/// block on the queue's mutex, which the idle workers keep re-taking
+/// between their `recv_timeout`s, or the connection is never read again.
+#[test]
+fn idle_connection_is_still_served_after_read_ticks() {
+    let (base, _) = corpus().split_tail(50);
+    let state = ServeState::new(Iuad::fit(&base, &IuadConfig::default()), None);
+    // Many idle workers make the mutex hand-off race easy to lose.
+    let daemon = Daemon::spawn(
+        state,
+        &DaemonConfig {
+            workers: 8,
+            ..DaemonConfig::default()
+        },
+    )
+    .expect("spawn daemon");
+    let addr = daemon.addr();
+
+    // The client runs on its own thread so a starved request fails the
+    // test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let ping = Client::request("name_group", vec![("name", Value::U64(1))]);
+        let mut client = Client::connect(addr).expect("connect client");
+        for _ in 0..8 {
+            let t = std::time::Instant::now();
+            let ok = client.call(&ping).is_ok_and(|r| response_ok(&r));
+            if tx.send((ok, t.elapsed())).is_err() {
+                return;
+            }
+            // Idle across at least one read tick before the next request.
+            std::thread::sleep(Duration::from_millis(300));
+        }
+    });
+    for i in 0..8 {
+        let (ok, latency) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("request {i} after an idle read tick went unanswered"));
+        assert!(ok, "request {i} failed");
+        assert!(
+            latency < Duration::from_secs(1),
+            "request {i} after an idle read tick took {latency:?}"
+        );
+    }
+    daemon.shutdown();
+}
+
 #[test]
 fn daemon_serves_queries_while_streaming_and_warm_restarts() {
     let (base, tail) = corpus().split_tail(50);
