@@ -3,8 +3,11 @@
 //! `BENCH_pipeline.json` so every future PR can compare against a recorded
 //! trajectory (see README § Performance for the schema).
 //!
-//! Schema version 3: three SGNS sub-stage rows (`sgns_vocab_build`,
-//! `sgns_sampler_build`, `sgns_epoch_loop`) follow the `profile_context`
+//! Schema version 4: the last stage row is `merged_engine_build`, a full
+//! engine build over the merged network (version 3 carried the Stage-2
+//! engine across the merge in a stage named `engine_derive`). Three SGNS
+//! sub-stage rows (`sgns_vocab_build`, `sgns_sampler_build`,
+//! `sgns_epoch_loop`, added in version 3) follow the `profile_context`
 //! row they decompose — they are inner timings of the same wall-clock
 //! window, not additional pipeline phases, so they do not contribute to
 //! `total_seconds` beyond what `profile_context` already records. (Version
@@ -72,7 +75,7 @@ pub fn bench_of(corpus: &Corpus, iuad: &Iuad) -> PipelineBench {
     let candidate_pairs = iuad.gcn.pairs_scored;
     let candidate_pair_seconds = times.seconds("candidate_pair_data").unwrap_or(0.0);
     PipelineBench {
-        schema_version: 3,
+        schema_version: 4,
         corpus_papers: corpus.papers.len(),
         corpus_names: corpus.num_names(),
         corpus_authors: corpus.num_authors(),

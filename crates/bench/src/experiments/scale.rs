@@ -2,14 +2,15 @@
 //! fit, written as the machine-readable `BENCH_scale.json` (see README
 //! § Performance for the schema).
 //!
-//! Schema version 2. Two tiers are defined — 100k papers (always run; the
+//! Schema version 3. Two tiers are defined — 100k papers (always run; the
 //! CI `bench-scale` job guards it with `scripts/perf_guard.py`) and 1M
 //! papers (opt-in via `IUAD_SCALE_1M=1`; manual/nightly only — it is a
 //! multi-minute, multi-GB run). The guarded tier's `total_seconds`,
 //! `pairs_per_sec` and `stages` are mirrored at the top level of the
 //! document so the perf guard reads `BENCH_scale.json` exactly like
-//! `BENCH_pipeline.json`. (Version 1 timed a name-block-sharded copy of
-//! the fit and carried a `shard_blocks` field.)
+//! `BENCH_pipeline.json`. (Version 2 named the last stage `engine_derive`;
+//! version 1 timed a name-block-sharded copy of the fit and carried a
+//! `shard_blocks` field.)
 //!
 //! Each stage row is a timing [`Iuad::fit`] records itself, under the same
 //! stage ids as `BENCH_pipeline.json`. Corpora are drawn through
@@ -312,7 +313,7 @@ pub fn run() -> String {
     assert_memory_ceiling(&tiers);
     let guarded = &tiers[0];
     let bench = ScaleBench {
-        schema_version: 2,
+        schema_version: 3,
         threads: par.resolved_threads(),
         guarded_tier: guarded.tier.clone(),
         total_seconds: guarded.total_seconds,

@@ -486,45 +486,19 @@ impl Gcn {
     }
 }
 
-/// How the merged network's vertices derive from the pre-merge SCN — the
-/// provenance record [`crate::SimilarityEngine::derive`] consumes to carry
-/// engine state across the merge instead of rebuilding it (§V-E: the
-/// post-merge state should be *derived* from the pre-merge state, not
-/// recomputed).
+/// What [`merge_network`] did to the pre-merge SCN's vertices.
 #[derive(Debug, Clone)]
 pub struct MergePlan {
-    /// Old SCN vertex (by index) → merged-network vertex. Total: every old
-    /// vertex carries at least one mention, so every cluster materialises.
-    pub old_to_new: Vec<VertexId>,
     /// Merged-network vertices formed by coalescing ≥ 2 old vertices,
-    /// ascending. Everything else is an index-remapped old vertex whose
-    /// mention set (and hence profile) is unchanged.
+    /// ascending. Every other merged vertex is one old vertex under a new
+    /// index, with its mention set unchanged.
     pub coalesced: Vec<VertexId>,
-}
-
-impl MergePlan {
-    /// An identity plan over a network of `num_vertices` vertices whose
-    /// `touched` vertices must be rebuilt from their mentions. This is the
-    /// serving-tier shape of a plan: no vertices coalesced, but absorbed
-    /// mentions left `touched` vertices with merged (non-canonical)
-    /// profiles and invalidated caches, which one
-    /// [`crate::SimilarityEngine::derive`] pass re-canonicalizes.
-    pub fn refresh(num_vertices: usize, touched: &[VertexId]) -> MergePlan {
-        let old_to_new: Vec<VertexId> = (0..num_vertices).map(VertexId::from).collect();
-        let mut coalesced = touched.to_vec();
-        coalesced.sort_unstable();
-        coalesced.dedup();
-        MergePlan {
-            old_to_new,
-            coalesced,
-        }
-    }
 }
 
 /// Rebuild the merged collaboration network: vertices = GCN clusters, with
 /// collaborative relations recovered per paper (Algorithm 1 line 16). The
 /// result is a fully-formed [`Scn`] usable by the incremental stage, plus
-/// the [`MergePlan`] recording how its vertices derive from `scn`'s.
+/// the [`MergePlan`] listing its coalesced vertices.
 pub fn merge_network(corpus: &Corpus, scn: &Scn, cluster_of_vertex: &[usize]) -> (Scn, MergePlan) {
     let mut graph: AdjGraph<ScnVertex, EdgeData> = AdjGraph::new();
     let mut vertex_of_cluster: FxHashMap<usize, VertexId> = FxHashMap::default();
@@ -585,13 +559,9 @@ pub fn merge_network(corpus: &Corpus, scn: &Scn, cluster_of_vertex: &[usize]) ->
         by_name.entry(payload.name).or_insert_with(Vec::new).push(v);
     }
 
-    let old_to_new: Vec<VertexId> = cluster_of_vertex
-        .iter()
-        .map(|c| vertex_of_cluster[c])
-        .collect();
     let mut preimages = vec![0u32; graph.num_vertices()];
-    for &nv in &old_to_new {
-        preimages[nv.index()] += 1;
+    for c in cluster_of_vertex {
+        preimages[vertex_of_cluster[c].index()] += 1;
     }
     let coalesced: Vec<VertexId> = preimages
         .iter()
@@ -608,10 +578,7 @@ pub fn merge_network(corpus: &Corpus, scn: &Scn, cluster_of_vertex: &[usize]) ->
             scrs: scn.scrs.clone(),
             eta: scn.eta,
         },
-        MergePlan {
-            old_to_new,
-            coalesced,
-        },
+        MergePlan { coalesced },
     )
 }
 
@@ -665,20 +632,15 @@ mod tests {
         let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
         let gcn = Gcn::build(&scn, &ctx, &engine, &GcnConfig::default());
         let (merged, plan) = merge_network(&c, &scn, &gcn.cluster_of_vertex);
-        // Plan sanity: the map is total and coalesced counts match merges.
-        assert_eq!(plan.old_to_new.len(), scn.graph.num_vertices());
-        let merged_away: usize = plan
-            .coalesced
-            .iter()
-            .map(|&v| {
-                plan.old_to_new
-                    .iter()
-                    .filter(|&&nv| nv == v)
-                    .count()
-                    .saturating_sub(1)
-            })
-            .sum();
-        assert_eq!(merged_away, gcn.num_merges);
+        // Coalesced vertices are exactly the clusters of ≥ 2 old vertices,
+        // and together they absorb every merge.
+        let mut sizes: FxHashMap<usize, usize> = FxHashMap::default();
+        for &c in &gcn.cluster_of_vertex {
+            *sizes.entry(c).or_insert(0) += 1;
+        }
+        let multi: Vec<usize> = sizes.into_values().filter(|&n| n >= 2).collect();
+        assert_eq!(plan.coalesced.len(), multi.len());
+        assert_eq!(multi.iter().map(|n| n - 1).sum::<usize>(), gcn.num_merges);
         for (_, payload) in merged.graph.vertices() {
             for m in &payload.mentions {
                 assert_eq!(c.name_of(*m), payload.name);

@@ -115,39 +115,23 @@ impl Iuad {
             par,
             &mut times,
         );
-        let (network, plan) = times.time("merge_network", || {
+        // The Stage-2 engine has served its last query: drop it before the
+        // merged engine is built, so two engines are never live at once.
+        drop(stage2_engine);
+        let (network, _) = times.time("merge_network", || {
             merge_network(corpus, &scn, &gcn.cluster_of_vertex)
         });
-        // Derive the post-merge engine from the Stage-2 engine instead of
-        // rebuilding it from scratch: only the dirty region around
-        // coalesced clusters is recomputed, and the result is bit-identical
-        // to a full rebuild (checked below in debug builds, and per
-        // scenario by the conformance harness).
-        let engine = times.time("engine_derive", || {
-            SimilarityEngine::derive(
-                stage2_engine,
-                &plan,
-                &network,
-                &ctx,
-                CacheScope::AmbiguousOnly,
-                par,
-            )
-        });
-        times.set_total(start);
-        #[cfg(debug_assertions)]
-        {
-            let rebuilt = SimilarityEngine::build_parallel(
+        let engine = times.time("merged_engine_build", || {
+            SimilarityEngine::build_parallel(
                 &network,
                 &ctx,
                 config.alpha,
                 config.wl_iters,
                 CacheScope::AmbiguousOnly,
                 par,
-            );
-            if let Some(diff) = engine.diff_from(&rebuilt) {
-                panic!("derived engine diverged from full rebuild: {diff}");
-            }
-        }
+            )
+        });
+        times.set_total(start);
         Iuad {
             config: config.clone(),
             ctx,
@@ -300,9 +284,9 @@ impl Iuad {
     }
 
     /// Decompose the fitted pipeline into owned parts. The serving tier
-    /// needs to move the engine through [`SimilarityEngine::derive`] at
-    /// each epoch publish, which consumes it by value — impossible through
-    /// the private field.
+    /// owns the engine mutably, absorbing into it on ingest and
+    /// refreshing it in place ([`SimilarityEngine::refresh`]) at each
+    /// epoch publish — impossible through the private field.
     pub fn into_state(self) -> FittedState {
         FittedState {
             config: self.config,
@@ -428,11 +412,11 @@ mod tests {
                 "mixture_fit",
                 "score_and_cluster",
                 "merge_network",
-                "engine_derive",
+                "merged_engine_build",
             ]
         );
         assert!(times.stages().iter().all(|&(_, s)| s >= 0.0));
-        assert!(times.total_seconds() >= times.seconds("engine_derive").unwrap());
+        assert!(times.total_seconds() >= times.seconds("merged_engine_build").unwrap());
     }
 
     #[test]

@@ -555,8 +555,8 @@ impl VenueCounts {
 /// Everything the similarity functions need to know about one vertex.
 ///
 /// `PartialEq` compares every field exactly (floats by `==`) — the
-/// equality the derive-vs-rebuild bit-identity contract of
-/// [`crate::SimilarityEngine::derive`] is checked against.
+/// equality the refresh-vs-rebuild bit-identity contract of
+/// [`crate::SimilarityEngine::refresh`] is checked against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VertexProfile {
     /// The vertex's name.

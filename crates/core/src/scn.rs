@@ -80,7 +80,7 @@ impl Scn {
     }
 
     /// Freeze this network's adjacency as a [`iuad_graph::Csr`] snapshot —
-    /// built once per network by every engine build/derivation so the
+    /// built once per network by every engine build or refresh so the
     /// structural kernels (WL, triangles, balls) walk contiguous sorted
     /// memory. The snapshot does not track later mutations (e.g.
     /// [`crate::Iuad::absorb`] appending vertices).

@@ -447,7 +447,7 @@ impl SimilarityEngine {
 
     /// The structural (WL + triangle) halves of one group's join evidence,
     /// in `vs` order (`None` for members without cached features). Split
-    /// out so [`Self::derive`] can rebuild just these for groups whose
+    /// out so [`Self::refresh`] can rebuild just these for groups whose
     /// members changed structurally but not profile-wise.
     fn group_structural_evidence(
         vs: &[VertexId],
@@ -500,259 +500,156 @@ impl SimilarityEngine {
         (shared_words, shared_venues)
     }
 
-    /// Derive the engine for a merged `network` from the engine `old`
-    /// built over its pre-merge SCN, per `plan` — the §V-E "no retraining"
-    /// claim applied to the engine itself: post-merge state is carried
-    /// over, not recomputed, wherever the merge provably could not have
-    /// changed it. The result is bit-identical to
-    /// [`Self::build_parallel`] over `network` (asserted in debug builds
-    /// by [`crate::Iuad::fit`] and per scenario by the conformance
-    /// harness's `derive-matches-rebuild` invariant).
+    /// The engine for a merged `network`: drops the pre-merge engine `old`
+    /// (so two engines are never live at once) and runs a full
+    /// [`Self::build_parallel`] at `old`'s α and `h`; `plan` is unused.
     ///
-    /// What carries over and why it is exact:
-    ///
-    /// * **Profiles** of non-coalesced vertices: their mention set is
-    ///   unchanged (merging only coalesces clusters), so the profile —
-    ///   a pure function of the mentions — is cloned by index remap.
-    ///   Coalesced vertices are rebuilt exactly via
-    ///   [`VertexProfile::from_mentions`] (not [`VertexProfile::merge`],
-    ///   whose mass-weighted centroid average would drift f32 bits).
-    /// * **WL features and triangles** of *clean* vertices: both are pure
-    ///   functions of the `wl_iters`-hop ball (names + structure), and a
-    ///   ball containing no coalesced vertex is name-preservingly
-    ///   isomorphic to its pre-merge image — any structural change (edge
-    ///   rewiring, shortcut, collapsed parallel edge) passes through a
-    ///   coalesced vertex. The dirty region is therefore the
-    ///   `max(wl_iters, 1)`-hop ball around the coalesced set (radius ≥ 1
-    ///   because triangles read the 1-hop induced subgraph), and only
-    ///   dirty in-scope vertices are recomputed.
-    /// * **Join evidence** of a name group: a pure function of the group
-    ///   members' profiles and structural caches, carried over when every
-    ///   member is clean and non-coalesced (then the group membership maps
-    ///   bijectively — merges stay within a name group). Groups whose
-    ///   members changed *structurally only* (dirty but none coalesced)
-    ///   carry the profile-derived halves (keywords, venues) and rebuild
-    ///   just the WL/triangle halves; groups with a coalesced member
-    ///   rebuild in full.
-    ///
-    /// Takes `old` by value: carried state *moves* into the new engine
-    /// (every old vertex has at most one non-coalesced image, so each slab
-    /// entry is consumed at most once) — the untouched majority costs an
-    /// index remap, not a deep copy.
-    ///
-    /// `old` must be freshly built (no [`Self::absorb`] calls) — absorbed
-    /// profiles are merged, not rebuilt, and would not match a from-scratch
-    /// profile bit for bit — *unless* every absorbed-into vertex is listed
-    /// in `plan.coalesced` (e.g. via [`crate::MergePlan::refresh`]): then
-    /// the merged profiles are discarded and rebuilt exactly, absorbed
-    /// vertices' invalidated caches fall inside the dirty region (absorb
-    /// adds no graph edges, so clean balls are untouched), and the
-    /// join groups absorb invalidated rebuild in full — restoring the
-    /// bit-identity contract on a live, absorbed-into engine. This is the
-    /// serving tier's epoch-publish path.
+    /// This once carried profiles, structural caches and join evidence
+    /// across the Stage-2 merge. That stopped paying: about half the
+    /// merged vertices are coalesced hubs, so the dirty ball around them
+    /// covers nearly the whole graph and the carry cost as much as a
+    /// rebuild. [`crate::Iuad::fit`] builds its merged engine directly.
+    /// The signature stays only because the repository benchmark times
+    /// this entry point.
     pub fn derive(
         old: SimilarityEngine,
-        plan: &crate::gcn::MergePlan,
+        _plan: &crate::gcn::MergePlan,
         network: &Scn,
         ctx: &ProfileContext,
         scope: CacheScope,
         par: &ParallelConfig,
     ) -> SimilarityEngine {
-        let n_new = network.graph.num_vertices();
-        assert_eq!(plan.old_to_new.len(), old.profiles.len());
-        let SimilarityEngine {
-            profiles: old_profiles,
-            wl: mut old_wl,
-            tris: mut old_tris,
-            join: mut old_join,
-            cnorm: old_cnorm,
-            g4_exp,
-            alpha,
-            wl_iters,
-            join_groups: _,
-        } = old;
-        // Representative old preimage + preimage count per new vertex. All
-        // representatives are distinct (a non-coalesced vertex has exactly
-        // one preimage; a coalesced vertex's representative maps only to
-        // it), so taking a representative's slab entries never races
-        // another new vertex.
-        let mut pre_count = vec![0u32; n_new];
-        let mut pre_of = vec![usize::MAX; n_new];
-        for (old_idx, &nv) in plan.old_to_new.iter().enumerate() {
-            pre_count[nv.index()] += 1;
-            if pre_of[nv.index()] == usize::MAX {
-                pre_of[nv.index()] = old_idx;
-            }
-        }
-        debug_assert!(pre_of.iter().all(|&p| p != usize::MAX), "plan not total");
+        let (alpha, wl_iters) = (old.alpha, old.wl_iters);
+        drop(old);
+        Self::build_parallel(network, ctx, alpha, wl_iters, scope, par)
+    }
 
-        // --- Profiles: remap untouched, rebuild coalesced exactly --------
-        let rebuilt = iuad_par::parallel_map(par, &plan.coalesced, |&v| {
+    /// Bring an absorbed-into engine back to canonical state in place: the
+    /// serving tier's epoch publish. `touched` lists the vertices absorbed
+    /// into since the engine was last canonical (any order, duplicates
+    /// allowed); `network` is the live network they were absorbed into.
+    /// Afterwards the engine is bit-identical to
+    /// [`Self::build_parallel`] over `network` at [`CacheScope::All`]
+    /// (pinned per scenario by the `publish-matches-rebuild` invariant).
+    ///
+    /// What is recomputed, and why everything else is exact:
+    ///
+    /// * **Profiles** of touched vertices are rebuilt from their mentions.
+    ///   [`Self::absorb`] merges profiles ([`VertexProfile::merge`]), whose
+    ///   mass-weighted centroid drifts f32 bits from a from-scratch build.
+    ///   No other vertex gained a mention.
+    /// * **WL features and triangles** are pure functions of a vertex's
+    ///   `wl_iters`-hop (triangles: 1-hop) ball. They are recomputed for
+    ///   every vertex inside those balls around the touched set, and for
+    ///   every vertex with no cache: absorb's invalidations, vertices
+    ///   created since, and — on the first publish over a fitted
+    ///   [`CacheScope::AmbiguousOnly`] engine — every singleton name.
+    /// * **Join evidence** is rebuilt in full for groups of ≥ 3 that absorb
+    ///   invalidated or that reached 3 members since. Groups that kept
+    ///   their evidence but have a member whose structural caches were
+    ///   recomputed rebuild only the WL/triangle halves: the keyword and
+    ///   venue halves are pure functions of unchanged member profiles.
+    pub fn refresh(
+        &mut self,
+        touched: &[VertexId],
+        network: &Scn,
+        ctx: &ProfileContext,
+        par: &ParallelConfig,
+    ) {
+        let n = network.graph.num_vertices();
+        assert_eq!(self.profiles.len(), n, "engine and network out of step");
+        let mut touched = touched.to_vec();
+        touched.sort_unstable();
+        touched.dedup();
+        let rebuilt = iuad_par::parallel_map(par, &touched, |&v| {
             let payload = network.graph.vertex(v);
             VertexProfile::from_mentions(payload.name, &payload.mentions, ctx)
         });
-        let mut old_profiles = old_profiles;
-        let hollow = || VertexProfile {
-            name: iuad_corpus::NameId(0),
-            papers: Vec::new(),
-            keyword_years: KeywordYears::default(),
-            venue_counts: VenueCounts::default(),
-            representative_venue: None,
-            keyword_centroid: Vec::new(),
-        };
-        // Representatives are distinct, so each old slot is vacated once.
-        let mut profiles: Vec<VertexProfile> = (0..n_new)
-            .map(|i| std::mem::replace(&mut old_profiles[pre_of[i]], hollow()))
-            .collect();
-        let mut cnorm: Vec<f64> = (0..n_new).map(|i| old_cnorm[pre_of[i]]).collect();
-        for (&v, p) in plan.coalesced.iter().zip(rebuilt) {
-            cnorm[v.index()] = iuad_text::norm(&p.keyword_centroid);
-            profiles[v.index()] = p;
+        for (&v, p) in touched.iter().zip(rebuilt) {
+            self.cnorm[v.index()] = iuad_text::norm(&p.keyword_centroid);
+            self.profiles[v.index()] = p;
         }
-        // --- Dirty regions: the structural blast radius of the merge -----
-        // WL features read the `wl_iters`-hop ball; triangles read only
-        // the 1-hop induced subgraph — tracking them separately lets a
-        // vertex whose 2-hop ball was touched but whose neighbourhood was
-        // not keep its triangle list.
-        let csr = network.csr();
-        let mut dirty_wl = vec![false; n_new];
-        csr.mark_ball(&plan.coalesced, wl_iters, &mut dirty_wl);
-        let mut dirty_tri = vec![false; n_new];
-        csr.mark_ball(&plan.coalesced, 1, &mut dirty_tri);
-        let dirty = |i: usize| dirty_wl[i] || dirty_tri[i];
 
-        // --- Structural caches: carry clean, recompute dirty -------------
-        let mut scoped: Vec<VertexId> = match scope {
-            CacheScope::AmbiguousOnly => network
-                .by_name
-                .values()
-                .filter(|vs| vs.len() >= 2)
-                .flatten()
-                .copied()
-                .collect(),
-            CacheScope::All => (0..n_new).map(VertexId::from).collect(),
-        };
-        scoped.sort_unstable();
-        scoped.dedup();
-        let mut wl: Vec<Option<SparseFeatures>> = vec![None; n_new];
-        let mut tris: Vec<Option<Vec<(u32, u32)>>> = vec![None; n_new];
-        let mut wl_recompute: Vec<VertexId> = Vec::new();
-        let mut tri_recompute: Vec<VertexId> = Vec::new();
-        for &v in &scoped {
-            let i = v.index();
-            // Clean ⇒ non-coalesced ⇒ a unique preimage; its cache can
-            // still be absent if the old scope was narrower.
-            if !dirty_wl[i] && old_wl[pre_of[i]].is_some() {
-                wl[i] = old_wl[pre_of[i]].take();
-            } else {
-                wl_recompute.push(v);
-            }
-            if !dirty_tri[i] && old_tris[pre_of[i]].is_some() {
-                tris[i] = old_tris[pre_of[i]].take();
-            } else {
-                tri_recompute.push(v);
-            }
-        }
+        let csr = network.csr();
+        let mut dirty_wl = vec![false; n];
+        csr.mark_ball(&touched, self.wl_iters, &mut dirty_wl);
+        let mut dirty_tri = vec![false; n];
+        csr.mark_ball(&touched, 1, &mut dirty_tri);
+        let mut wl_recompute: Vec<VertexId> = (0..n)
+            .filter(|&i| dirty_wl[i] || self.wl[i].is_none())
+            .map(VertexId::from)
+            .collect();
+        let tri_recompute: Vec<VertexId> = (0..n)
+            .filter(|&i| dirty_tri[i] || self.tris[i].is_none())
+            .map(VertexId::from)
+            .collect();
         let names: Vec<u64> = network
             .graph
             .vertices()
             .map(|(_, p)| u64::from(p.name.0))
             .collect();
-        // Extract in graph-BFS order: consecutive roots share most of
-        // their balls, so the rows and position map stay cache-hot.
-        // Features are pure per root, so ordering cannot change results.
         reorder_by_bfs(&csr, &mut wl_recompute);
+        let wl_iters = self.wl_iters;
         let fresh_wl = iuad_par::parallel_map(par, &wl_recompute, |&v| {
             Self::wl_of_csr(&csr, &names, v, wl_iters)
         });
-        for (&v, w) in wl_recompute.iter().zip(fresh_wl) {
-            wl[v.index()] = Some(w);
-        }
         let fresh_tris = iuad_par::parallel_map(par, &tri_recompute, |&v| {
             Self::name_triangles_csr(&csr, network, v)
         });
+        let mut restructured = vec![false; n];
+        for (&v, w) in wl_recompute.iter().zip(fresh_wl) {
+            restructured[v.index()] = true;
+            self.wl[v.index()] = Some(w);
+        }
         for (&v, t) in tri_recompute.iter().zip(fresh_tris) {
-            tris[v.index()] = Some(t);
+            restructured[v.index()] = true;
+            self.tris[v.index()] = Some(t);
         }
 
-        // --- Join evidence: carry what provably did not change -----------
-        let groups: Vec<&[VertexId]> = network
+        let mut full_groups: Vec<&[VertexId]> = Vec::new();
+        let mut structural_groups: Vec<&[VertexId]> = Vec::new();
+        for vs in network
             .by_name
             .values()
             .filter(|vs| vs.len() >= JOIN_EVIDENCE_MIN_GROUP)
-            .map(Vec::as_slice)
-            .collect();
-        let mut join: Vec<Option<JoinEvidence>> = Vec::with_capacity(n_new);
-        join.resize_with(n_new, || None);
-        let mut join_groups: rustc_hash::FxHashMap<iuad_corpus::NameId, Vec<VertexId>> =
-            rustc_hash::FxHashMap::default();
-        // Groups with a coalesced member rebuild in full; groups that are
-        // only structurally dirty rebuild the WL/triangle halves and carry
-        // the profile halves; fully clean groups move over wholesale.
-        let mut full_groups: Vec<&[VertexId]> = Vec::new();
-        let mut structural_groups: Vec<&[VertexId]> = Vec::new();
-        for vs in &groups {
-            if let Some(&v0) = vs.first() {
-                join_groups.insert(profiles[v0.index()].name, vs.to_vec());
-            }
-            let carried = vs
-                .iter()
-                .all(|&v| pre_count[v.index()] == 1 && old_join[pre_of[v.index()]].is_some());
-            if !carried {
+        {
+            let name = self.profiles[vs[0].index()].name;
+            if self.join_groups.get(&name) != Some(vs) {
                 full_groups.push(vs);
-            } else if vs.iter().any(|&v| dirty(v.index())) {
+            } else if vs.iter().any(|v| restructured[v.index()]) {
                 structural_groups.push(vs);
-            } else {
-                for &v in *vs {
-                    join[v.index()] = old_join[pre_of[v.index()]].take();
-                }
             }
         }
         let full_evidence = iuad_par::parallel_map(par, &full_groups, |vs| {
-            Self::group_join_evidence(vs, &wl, &tris, &profiles)
+            Self::group_join_evidence(vs, &self.wl, &self.tris, &self.profiles)
         });
         for (vs, evidence) in full_groups.iter().zip(full_evidence) {
             for (&v, e) in vs.iter().zip(evidence) {
-                join[v.index()] = e;
+                self.join[v.index()] = e;
             }
+            let name = self.profiles[vs[0].index()].name;
+            self.join_groups.insert(name, vs.to_vec());
         }
         let structural_evidence = iuad_par::parallel_map(par, &structural_groups, |vs| {
-            Self::group_structural_evidence(vs, &wl, &tris)
+            Self::group_structural_evidence(vs, &self.wl, &self.tris)
         });
         for (vs, evidence) in structural_groups.iter().zip(structural_evidence) {
             for (&v, st) in vs.iter().zip(evidence) {
-                // The profile halves are pure functions of member profiles,
-                // all unchanged in this group — move them from the old
-                // evidence; a member without structural caches degrades to
-                // the full-evidence fallback exactly as a rebuild would.
-                join[v.index()] = st.and_then(|(wl_f, tris_f)| {
-                    let old_e = old_join[pre_of[v.index()]].take()?;
-                    Some(JoinEvidence {
-                        wl: wl_f,
-                        tris: tris_f,
-                        kw: old_e.kw,
-                        venues: old_e.venues,
-                    })
+                let kept = self.join[v.index()].take();
+                self.join[v.index()] = st.zip(kept).map(|((wl, tris), e)| JoinEvidence {
+                    wl,
+                    tris,
+                    kw: e.kw,
+                    venues: e.venues,
                 });
             }
-        }
-        SimilarityEngine {
-            profiles,
-            wl,
-            tris,
-            join,
-            join_groups,
-            cnorm,
-            g4_exp,
-            alpha,
-            wl_iters,
         }
     }
 
     /// First difference between two engines' cached state, or `None` when
     /// they are bit-identical — the checkable face of the
-    /// derive-vs-rebuild contract. Floats compare by bit pattern, not
-    /// tolerance: derivation carries state over *because* it is provably
+    /// refresh-vs-rebuild contract. Floats compare by bit pattern, not
+    /// tolerance: a refresh keeps state *because* it is provably
     /// unchanged, so any drift is a correctness bug, not rounding.
     pub fn diff_from(&self, other: &SimilarityEngine) -> Option<String> {
         fn sparse_eq(a: &SparseFeatures, b: &SparseFeatures) -> bool {
@@ -1607,6 +1504,112 @@ mod tests {
         // full-evidence fallback — the group filter never changed a value.
         let untouched = eng.similarity(&ctx, vs[1], vs[2]);
         assert_eq!(untouched, before[1]);
+    }
+
+    /// Absorb `paper` (authored by `name` alone) into the network and
+    /// engine under `decision`, registering it with the context first as
+    /// the serving tier does.
+    fn absorb_solo(
+        scn: &mut Scn,
+        ctx: &mut ProfileContext,
+        eng: &mut SimilarityEngine,
+        mut paper: iuad_corpus::Paper,
+        name: NameId,
+        decision: crate::Decision,
+    ) -> VertexId {
+        paper.id = iuad_corpus::PaperId(ctx.paper_years.len() as u32);
+        paper.authors = vec![name];
+        ctx.register_paper(&paper);
+        let delta = VertexProfile::from_new_paper(name, &paper, ctx);
+        crate::absorb_mention(scn, eng, &paper, 0, decision, &delta)
+    }
+
+    #[test]
+    fn refresh_after_absorbs_matches_all_scope_rebuild() {
+        let full = Corpus::generate(&CorpusConfig {
+            num_authors: 250,
+            num_papers: 1000,
+            seed: 23,
+            ..Default::default()
+        });
+        let (base, tail) = full.split_tail(2);
+        let mut scn = Scn::build(&base, 2);
+        let mut ctx = ProfileContext::build(&base, 16, 2);
+        let mut eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::All);
+        let seq = ParallelConfig::sequential();
+
+        // A 2-member name group gains a third vertex, crossing the
+        // join-evidence threshold.
+        let pair_name = scn
+            .by_name
+            .iter()
+            .filter(|(_, vs)| vs.len() == 2)
+            .map(|(&n, _)| n)
+            .min()
+            .expect("a 2-member name group exists");
+        let fresh = absorb_solo(
+            &mut scn,
+            &mut ctx,
+            &mut eng,
+            tail[0].0.clone(),
+            pair_name,
+            crate::Decision::NewAuthor { best_score: None },
+        );
+        // The highest-degree vertex absorbs a paper: every name group
+        // within its WL ball becomes structurally dirty.
+        let hub = scn
+            .graph
+            .vertices()
+            .map(|(v, _)| v)
+            .max_by_key(|&v| (scn.graph.degree(v), std::cmp::Reverse(v)))
+            .expect("non-empty network");
+        let hub_name = scn.graph.vertex(hub).name;
+        let dirty_carried_group = scn.graph.ball(hub, 2).into_iter().any(|u| {
+            let name = scn.graph.vertex(u).name;
+            name != hub_name && name != pair_name && scn.by_name[&name].len() >= 3
+        });
+        assert!(
+            dirty_carried_group,
+            "hub ball must reach a carried 3+ group"
+        );
+        absorb_solo(
+            &mut scn,
+            &mut ctx,
+            &mut eng,
+            tail[1].0.clone(),
+            hub_name,
+            crate::Decision::Existing {
+                vertex: hub,
+                score: 0.0,
+            },
+        );
+
+        eng.refresh(&[fresh, hub], &scn, &ctx, &seq);
+        let rebuilt = SimilarityEngine::build_parallel(&scn, &ctx, 0.62, 2, CacheScope::All, &seq);
+        assert_eq!(eng.diff_from(&rebuilt), None);
+        for &v in &scn.by_name[&pair_name] {
+            assert!(
+                eng.join[v.index()].is_some(),
+                "grown group lacks join evidence"
+            );
+        }
+    }
+
+    #[test]
+    fn startup_refresh_widens_a_fitted_engine_to_all_scope() {
+        let (c, _) = setup();
+        let iuad = crate::Iuad::fit(&c, &crate::IuadConfig::default());
+        let all = SimilarityEngine::build(
+            &iuad.network,
+            &iuad.ctx,
+            iuad.config.alpha,
+            iuad.config.wl_iters,
+            CacheScope::All,
+        );
+        let mut eng = iuad.engine().clone();
+        assert!(eng.diff_from(&all).is_some(), "fit engine is not All-scope");
+        eng.refresh(&[], &iuad.network, &iuad.ctx, &ParallelConfig::sequential());
+        assert_eq!(eng.diff_from(&all), None);
     }
 
     #[test]

@@ -134,8 +134,8 @@ impl Csr {
 
     /// Expand `seeds` by `radius` BFS hops, marking every reached vertex in
     /// `reached` (which must be `num_vertices` long; pre-set entries count
-    /// as already-visited). The multi-source form the merge-aware engine
-    /// derivation uses to mark the dirty region around coalesced vertices.
+    /// as already-visited). The multi-source form the in-place engine
+    /// refresh uses to mark the dirty region around touched vertices.
     pub fn mark_ball(&self, seeds: &[VertexId], radius: usize, reached: &mut [bool]) {
         assert_eq!(reached.len(), self.num_vertices());
         let mut frontier: Vec<VertexId> = Vec::with_capacity(seeds.len());

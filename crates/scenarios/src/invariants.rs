@@ -2,9 +2,7 @@
 //! corpus, checked per scenario and reported (not panicked) so the driver
 //! can attribute failures to a named scenario and a named invariant.
 
-use iuad_core::{
-    merge_network, CacheScope, Decision, Iuad, IuadConfig, ParallelConfig, SimilarityEngine,
-};
+use iuad_core::{CacheScope, Decision, Iuad, IuadConfig, ParallelConfig, SimilarityEngine};
 use iuad_corpus::scenario::{
     derive_seed, duplicate_papers, permute_papers, ArrivalOrder, ScenarioSpec,
 };
@@ -309,54 +307,61 @@ pub fn duplicate_injection_cocluster(
     )
 }
 
-/// The merge-aware engine derivation is bit-identical to a from-scratch
-/// rebuild: re-run the Stage-2 → merge → engine sequence on the fitted
-/// pipeline's own artefacts, once via [`SimilarityEngine::derive`] and once
-/// via a full build over the merged network, and compare every cached slab
-/// (profiles, WL features, triangles, centroid norms, join evidence) by bit
-/// pattern. This is the release-mode face of the `debug_assertions` check
-/// inside [`Iuad::fit`].
-pub fn derive_matches_rebuild(
+/// The serving tier's epoch publish leaves an engine bit-identical to a
+/// from-scratch build: fit the scenario's streaming base, publish once
+/// (widening the fitted engine to every vertex), then stream the held-out
+/// tail through a [`iuad_serve::ServeState`] at the daemon's default
+/// cadence (a publish every 16 papers, plus one after the last paper).
+/// After the first and the last publish, every cached slab (profiles, WL
+/// features, triangles, centroid norms, join evidence) must equal
+/// [`SimilarityEngine::build_parallel`] over the live network at
+/// [`CacheScope::All`], by bit pattern.
+pub fn publish_matches_rebuild(
     corpus: &Corpus,
     config: &IuadConfig,
-    iuad: &Iuad,
+    spec: &ScenarioSpec,
 ) -> InvariantReport {
-    const NAME: &str = "derive-matches-rebuild";
-    let stage2 = SimilarityEngine::build(
-        &iuad.scn,
-        &iuad.ctx,
-        config.alpha,
-        config.wl_iters,
-        CacheScope::AmbiguousOnly,
-    );
-    let (network, plan) = merge_network(corpus, &iuad.scn, &iuad.gcn.cluster_of_vertex);
-    let derived = SimilarityEngine::derive(
-        stage2,
-        &plan,
-        &network,
-        &iuad.ctx,
-        CacheScope::AmbiguousOnly,
-        &ParallelConfig::sequential(),
-    );
-    let rebuilt = SimilarityEngine::build(
-        &network,
-        &iuad.ctx,
-        config.alpha,
-        config.wl_iters,
-        CacheScope::AmbiguousOnly,
-    );
-    match derived.diff_from(&rebuilt) {
-        None => InvariantReport::ok(
-            NAME,
-            format!(
-                "derived engine bit-identical to rebuild over {} vertices \
-                 ({} coalesced)",
-                network.graph.num_vertices(),
-                plan.coalesced.len()
-            ),
-        ),
-        Some(diff) => InvariantReport::fail(NAME, diff),
+    const NAME: &str = "publish-matches-rebuild";
+    let (base, tail) = spec.split_for_streaming(corpus);
+    let mut state = iuad_serve::ServeState::new(Iuad::fit(&base, config), None);
+    let check = |state: &iuad_serve::ServeState| {
+        let rebuilt = SimilarityEngine::build_parallel(
+            state.network(),
+            state.ctx(),
+            config.alpha,
+            config.wl_iters,
+            CacheScope::All,
+            &config.parallel,
+        );
+        state.engine().diff_from(&rebuilt)
+    };
+    state.publish();
+    if let Some(diff) = check(&state) {
+        return InvariantReport::fail(NAME, format!("first publish: {diff}"));
     }
+    for (batch, (paper, _)) in tail.iter().enumerate() {
+        state.ingest(paper.clone());
+        if (batch + 1) % 16 == 0 {
+            state.publish();
+        }
+    }
+    state.publish();
+    if let Some(diff) = check(&state) {
+        return InvariantReport::fail(
+            NAME,
+            format!("last publish (epoch {}): {diff}", state.epoch()),
+        );
+    }
+    InvariantReport::ok(
+        NAME,
+        format!(
+            "{} papers streamed through {} epochs; first and last published engines \
+             bit-identical to rebuild over {} vertices",
+            tail.len(),
+            state.epoch(),
+            state.network().graph.num_vertices()
+        ),
+    )
 }
 
 /// B³ recall is monotone under oracle merges: repeatedly merging two

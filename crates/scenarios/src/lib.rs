@@ -12,8 +12,8 @@
 //!    under paper-order permutation (and bounded full-pipeline drift, since
 //!    embedding training is order-sensitive), duplicate-mention
 //!    co-clustering, monotone B³ recall under oracle merges, bit-identity
-//!    of the merge-aware engine derivation against a full rebuild, and
-//!    batch-vs-incremental interface consistency.
+//!    of the epoch publish's in-place engine refresh against a full
+//!    rebuild, and batch-vs-incremental interface consistency.
 //! 2. **Differential oracles** ([`differential`]) — IUAD scored against
 //!    every baseline plus the trivial all-split / all-merged partitions and
 //!    the ground-truth oracle, on pairwise F1, B³, and the K-metric. The

@@ -9,9 +9,9 @@ use serde::Serialize;
 use crate::differential::{score_scenario_methods, MethodScore};
 use crate::fingerprint::{canonical_labels, fingerprint_hex, fingerprint_of_labels};
 use crate::invariants::{
-    derive_matches_rebuild, duplicate_injection_cocluster, incremental_consistency,
-    oracle_merge_monotone_recall, parallel_config_invariance, partition_structure,
-    pipeline_permutation_robustness, stage1_permutation_invariance, wal_compaction_matches_live,
+    duplicate_injection_cocluster, incremental_consistency, oracle_merge_monotone_recall,
+    parallel_config_invariance, partition_structure, pipeline_permutation_robustness,
+    publish_matches_rebuild, stage1_permutation_invariance, wal_compaction_matches_live,
     wal_replay_matches_live, InvariantReport,
 };
 
@@ -146,7 +146,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         pipeline_permutation_robustness(&corpus, &config, spec, &test, iuad_b3_f),
         duplicate_injection_cocluster(&corpus, &config, spec),
         oracle_merge_monotone_recall(&corpus, &test, &iuad),
-        derive_matches_rebuild(&corpus, &config, &iuad),
+        publish_matches_rebuild(&corpus, &config, spec),
         wal_replay_matches_live(&corpus, &config, spec),
         wal_compaction_matches_live(&corpus, &config, spec),
     ];

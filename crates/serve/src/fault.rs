@@ -29,7 +29,7 @@ pub enum CrashPoint {
     /// Mid-way through writing a WAL record: a seeded prefix of the framed
     /// bytes reaches the file, then the process dies (torn tail).
     MidRecordWrite,
-    /// At the top of an epoch publish, before the engine is derived or the
+    /// At the top of an epoch publish, before the engine is refreshed or the
     /// epoch marker is logged (papers durable, publish not).
     BeforePublish,
     /// After the epoch marker is durably logged, before the snapshot is

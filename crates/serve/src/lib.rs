@@ -9,10 +9,10 @@
 //! * **Epoch snapshots** ([`Snapshot`], [`EpochStore`]): readers hold an
 //!   `Arc<Snapshot>` — partition, frozen [`iuad_core::SimilarityEngine`],
 //!   CSR topology — at epoch N while the ingest thread mutates its own
-//!   live state. Publishing epoch N+1 re-canonicalizes the live engine via
-//!   [`iuad_core::SimilarityEngine::derive`] over an identity
-//!   [`iuad_core::MergePlan`] and swaps the pointer; an old epoch retires
-//!   once its last reader drops.
+//!   live state. Publishing epoch N+1 re-canonicalizes the live engine in
+//!   place via [`iuad_core::SimilarityEngine::refresh`] over the vertices
+//!   touched since the last publish and swaps the pointer; an old epoch
+//!   retires once its last reader drops.
 //! * **Write-ahead log** ([`Wal`]): every accepted paper is appended with
 //!   its assignment decisions before the ingest reply, and every epoch
 //!   publish leaves a marker. Warm restart replays the log — applying the

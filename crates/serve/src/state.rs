@@ -4,22 +4,21 @@
 //! through decide-then-absorb (the §V-E path, evidence computed once per
 //! slot exactly like [`iuad_core::Iuad::ingest_batch`]); each accepted
 //! paper is WAL-logged with its decisions before the caller sees the
-//! reply. Publishing an epoch re-canonicalizes the live engine with one
-//! [`SimilarityEngine::derive`] pass over an identity
-//! [`MergePlan`] whose `coalesced` set is the vertices touched since the
-//! last publish: absorbed-into profiles are rebuilt exactly from their
+//! reply. Publishing an epoch re-canonicalizes the live engine in place
+//! with one [`SimilarityEngine::refresh`] over the vertices touched since
+//! the last publish: absorbed-into profiles are rebuilt exactly from their
 //! mentions, the invalidated structural caches are recomputed inside the
-//! dirty region, and everything else carries over bit-for-bit. The
-//! published engine is therefore identical to a from-scratch build over
-//! the live network — and the live engine is reset to a clone of it, so
-//! subsequent decisions score against canonical state.
+//! dirty region, and everything else stays as it is. The refreshed
+//! engine is therefore identical to a from-scratch build over the live
+//! network; the snapshot takes a clone of it, and subsequent decisions
+//! score against the same canonical state.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use iuad_core::{
-    absorb_mention, decide_with_evidence, CacheScope, Decision, Gcn, Iuad, IuadConfig,
-    MentionEvidence, MergePlan, ProfileContext, Scn, SimilarityEngine,
+    absorb_mention, decide_with_evidence, Decision, Gcn, Iuad, IuadConfig, MentionEvidence,
+    ProfileContext, Scn, SimilarityEngine,
 };
 use iuad_corpus::{NameId, Paper, PaperId};
 use iuad_graph::VertexId;
@@ -39,10 +38,7 @@ pub struct ServeState {
     ctx: ProfileContext,
     gcn: Gcn,
     network: Scn,
-    /// `Option` so publish can move the engine through
-    /// [`SimilarityEngine::derive`] (which consumes it) and put the
-    /// canonical result back. Always `Some` between method calls.
-    engine: Option<SimilarityEngine>,
+    engine: SimilarityEngine,
     /// Vertices absorbed into since the last publish.
     touched: Vec<VertexId>,
     /// Next streamed paper id: ids continue the base corpus contiguously
@@ -103,7 +99,7 @@ impl ServeState {
             ctx: parts.ctx,
             gcn: parts.gcn,
             network: parts.network,
-            engine: Some(parts.engine),
+            engine: parts.engine,
             touched: Vec::new(),
             epoch: 0,
             papers_ingested: 0,
@@ -200,13 +196,12 @@ impl ServeState {
         (0..paper.authors.len())
             .map(|slot| {
                 let name = paper.authors[slot];
-                let engine = self.engine.as_ref().expect("engine present");
-                let evidence = MentionEvidence::gather(&self.ctx, engine, paper, slot);
+                let evidence = MentionEvidence::gather(&self.ctx, &self.engine, paper, slot);
                 let decision = match (&self.gcn.model, self.network.by_name.get(&name)) {
                     (Some(model), Some(candidates)) => decide_with_evidence(
                         &self.network,
                         &self.ctx,
-                        engine,
+                        &self.engine,
                         model,
                         self.config.gcn.delta,
                         &evidence,
@@ -216,7 +211,7 @@ impl ServeState {
                 };
                 let v = absorb_mention(
                     &mut self.network,
-                    self.engine.as_mut().expect("engine present"),
+                    &mut self.engine,
                     paper,
                     slot,
                     decision,
@@ -266,11 +261,10 @@ impl ServeState {
                     ));
                 }
             }
-            let engine = self.engine.as_ref().expect("engine present");
-            let evidence = MentionEvidence::gather(&self.ctx, engine, paper, slot);
+            let evidence = MentionEvidence::gather(&self.ctx, &self.engine, paper, slot);
             let v = absorb_mention(
                 &mut self.network,
-                self.engine.as_mut().expect("engine present"),
+                &mut self.engine,
                 paper,
                 slot,
                 decision,
@@ -357,18 +351,13 @@ impl ServeState {
         if let Some(faults) = &self.faults {
             faults.check(CrashPoint::BeforePublish);
         }
-        let plan = MergePlan::refresh(self.network.graph.num_vertices(), &self.touched);
-        self.touched.clear();
-        let old = self.engine.take().expect("engine present");
-        let published = SimilarityEngine::derive(
-            old,
-            &plan,
+        self.engine.refresh(
+            &self.touched,
             &self.network,
             &self.ctx,
-            CacheScope::All,
             &self.config.parallel,
         );
-        self.engine = Some(published.clone());
+        self.touched.clear();
         self.epoch += 1;
         if let Some(wal) = &mut self.wal {
             let record = WalRecord::epoch(self.epoch);
@@ -386,7 +375,7 @@ impl ServeState {
             network: self.network.clone(),
             csr: self.network.csr(),
             ctx: self.ctx.clone(),
-            engine: published,
+            engine: self.engine.clone(),
             model: self.gcn.model.clone(),
             delta: self.config.gcn.delta,
         }
@@ -405,7 +394,7 @@ impl ServeState {
             network: self.network.clone(),
             csr: self.network.csr(),
             ctx: self.ctx.clone(),
-            engine: self.engine.clone().expect("engine present"),
+            engine: self.engine.clone(),
             model: self.gcn.model.clone(),
             delta: self.config.gcn.delta,
         }
@@ -694,7 +683,7 @@ impl ServeState {
     /// The live engine (read-only; tests compare via
     /// [`SimilarityEngine::diff_from`]).
     pub fn engine(&self) -> &SimilarityEngine {
-        self.engine.as_ref().expect("engine present")
+        &self.engine
     }
 
     /// Extended context (read-only).

@@ -120,8 +120,8 @@ fn wal_replay_reproduces_live_state_bit_identically() {
         "replayed similarity caches must be bit-identical to the live ones"
     );
 
-    // The epoch-publish path (merge-plan refresh + engine derivation) must
-    // match a from-scratch engine build over the same network: a stale
+    // The epoch publish (an in-place engine refresh) must match a
+    // from-scratch engine build over the same network: a stale
     // cache surviving absorb would silently skew every later decision.
     let rebuilt = SimilarityEngine::build(
         live.network(),
@@ -992,5 +992,44 @@ fn ingest_shed_backlog_never_exceeds_queue_capacity() {
     let stats = daemon.stats();
     assert_eq!(stats.shed_ingest_full.load(Ordering::Relaxed), total_sheds);
     assert_eq!(stats.errors.load(Ordering::Relaxed), 0);
+    daemon.shutdown();
+}
+
+/// A request line of 100,000 `[` is refused as malformed. The JSON parser
+/// recurses once per nesting level, so without a depth cap this line runs
+/// a worker off its 2 MiB stack, and a stack overflow aborts the whole
+/// process rather than panicking one thread.
+#[test]
+fn deeply_nested_request_is_an_error_not_an_abort() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (base, _) = corpus().split_tail(50);
+    let state = ServeState::new(Iuad::fit(&base, &IuadConfig::default()), None);
+    let daemon = Daemon::spawn(state, &DaemonConfig::default()).expect("spawn daemon");
+    let addr = daemon.addr();
+    let errors_before = daemon.stats().errors.load(Ordering::Relaxed);
+
+    let mut hostile = std::net::TcpStream::connect(addr).expect("connect hostile client");
+    let mut line = "[".repeat(100_000);
+    line.push('\n');
+    hostile
+        .write_all(line.as_bytes())
+        .expect("send nested line");
+    let mut reply = String::new();
+    BufReader::new(&hostile)
+        .read_line(&mut reply)
+        .expect("read reply");
+    assert!(
+        reply.contains("\"ok\":false") && reply.contains("malformed request"),
+        "expected an error reply, got {reply:?}"
+    );
+    assert_eq!(
+        daemon.stats().errors.load(Ordering::Relaxed),
+        errors_before + 1
+    );
+
+    let mut client = Client::connect(addr).expect("connect after the hostile line");
+    let ping = Client::request("name_group", vec![("name", Value::U64(1))]);
+    assert!(response_ok(&client.call(&ping).expect("still served")));
     daemon.shutdown();
 }
