@@ -1,7 +1,7 @@
 # Local entrypoints mirroring .github/workflows/ci.yml — keep the two in
 # sync so "it passes locally" means "it passes in CI".
 
-.PHONY: build test lint fmt doc bench bench-smoke bench-json bench-scale perf-guard scale-guard scenarios serve-smoke serve-crash serve-replica repro all
+.PHONY: build test lint fmt doc bench bench-smoke bench-build bench-json bench-scale perf-guard scale-guard scenarios serve-smoke serve-crash serve-replica repro all
 
 all: build test lint doc
 
@@ -29,6 +29,12 @@ bench:
 # What the scheduled CI job runs: compile benches, one quick pass, no stats.
 bench-smoke:
 	cargo bench -p iuad-bench -- --test
+
+# What the CI `bench-build` job runs: compile the repository benchmark
+# (its own workspace under benchmark/), so a core API change that breaks
+# it fails CI.
+bench-build:
+	cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # Regenerate the committed single-threaded perf baseline
 # (BENCH_pipeline.json; schema in README § Performance).

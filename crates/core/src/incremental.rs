@@ -35,23 +35,23 @@ pub enum Decision {
 
 /// The evidence one new mention carries: its transient profile plus the
 /// star-graph structural features. The decision rule *and* the absorb path
-/// both consume it, so a streaming ingest loop computes it once per slot
-/// ([`crate::Iuad::ingest_batch`]) instead of once per use.
+/// both consume it, so [`ingest_paper`] computes it once per slot instead
+/// of once per use.
 #[derive(Debug, Clone)]
-pub struct MentionEvidence {
+struct MentionEvidence {
     /// Single-paper profile of the new mention
     /// ([`VertexProfile::from_new_paper`]).
-    pub profile: VertexProfile,
+    profile: VertexProfile,
     /// WL features of the mention's collaboration star.
-    pub wl: SparseFeatures,
+    wl: SparseFeatures,
     /// Name triangles through the mention (its co-authors form a clique),
     /// sorted `(min, max)` pairs, deduplicated.
-    pub tris: Vec<(u32, u32)>,
+    tris: Vec<(u32, u32)>,
 }
 
 impl MentionEvidence {
     /// Compute the evidence for the author at `slot` of a new `paper`.
-    pub fn gather(
+    fn gather(
         ctx: &ProfileContext,
         engine: &SimilarityEngine,
         paper: &Paper,
@@ -84,7 +84,7 @@ impl MentionEvidence {
 
 /// The decision rule of §V-E over precomputed evidence: arg-max posterior
 /// log-odds across `candidates`, matched only if the best score reaches δ.
-pub fn decide_with_evidence(
+fn decide_with_evidence(
     network: &Scn,
     ctx: &ProfileContext,
     engine: &SimilarityEngine,
@@ -170,6 +170,38 @@ pub fn absorb_mention(
     network.assignment.insert(mention, v);
     engine.absorb(v, delta_profile);
     v
+}
+
+/// Stream one new paper into `network` and `engine`: resolve its slots in
+/// order, each decided against the state the previous slots left (a slot
+/// may match a vertex an earlier slot of the same paper founded), and
+/// absorb each decision before the next slot is decided. Every slot's
+/// evidence (its transient profile and star-graph features) is gathered
+/// once and feeds both the decision and the absorb. With no fitted
+/// `model`, every slot founds a new author. Returns each slot's name,
+/// decision and receiving vertex.
+pub fn ingest_paper(
+    network: &mut Scn,
+    ctx: &ProfileContext,
+    engine: &mut SimilarityEngine,
+    model: Option<&TwoComponentMixture>,
+    delta: f64,
+    paper: &Paper,
+) -> Vec<(NameId, Decision, VertexId)> {
+    (0..paper.authors.len())
+        .map(|slot| {
+            let name = paper.authors[slot];
+            let evidence = MentionEvidence::gather(ctx, engine, paper, slot);
+            let decision = match (model, network.by_name.get(&name)) {
+                (Some(model), Some(candidates)) => {
+                    decide_with_evidence(network, ctx, engine, model, delta, &evidence, candidates)
+                }
+                _ => Decision::NewAuthor { best_score: None },
+            };
+            let v = absorb_mention(network, engine, paper, slot, decision, &evidence.profile);
+            (name, decision, v)
+        })
+        .collect()
 }
 
 /// Convenience: disambiguate every slot of a new paper independently.

@@ -41,9 +41,7 @@ pub mod similarity;
 pub mod stages;
 
 pub use gcn::{merge_network, Gcn, GcnConfig, MergePlan, MergePolicy};
-pub use incremental::{
-    absorb_mention, decide_with_evidence, disambiguate_mention, Decision, MentionEvidence,
-};
+pub use incremental::{absorb_mention, disambiguate_mention, ingest_paper, Decision};
 pub use iuad_par::ParallelConfig;
 pub use pipeline::{FittedState, Iuad, IuadConfig};
 pub use profile::{KeywordSlab, KeywordYears, ProfileContext, VenueCounts, VertexProfile};

@@ -6,12 +6,11 @@ use std::time::Instant;
 use rustc_hash::FxHashMap;
 
 use iuad_corpus::{Corpus, Mention, NameId, Paper};
+use iuad_graph::VertexId;
 use iuad_par::ParallelConfig;
 
 use crate::gcn::{merge_network, Gcn, GcnConfig};
-use crate::incremental::{
-    absorb_mention, decide_with_evidence, disambiguate_mention, Decision, MentionEvidence,
-};
+use crate::incremental::{disambiguate_mention, ingest_paper, Decision};
 use crate::profile::ProfileContext;
 use crate::scn::Scn;
 use crate::similarity::{CacheScope, SimilarityEngine};
@@ -214,67 +213,20 @@ impl Iuad {
         )
     }
 
-    /// Fold a disambiguated mention into the network *without* refitting:
-    /// appends the mention to the matched vertex (or a fresh vertex) so that
-    /// subsequent incremental queries see it. Structural caches are not
-    /// rebuilt — consistent with the paper's "no retraining" claim.
-    pub fn absorb(&mut self, paper: &Paper, slot: usize, decision: Decision) {
-        let name = paper.authors[slot];
-        let delta = crate::profile::VertexProfile::from_new_paper(name, paper, &self.ctx);
-        absorb_mention(
+    /// Stream a new paper into the fitted network without refitting
+    /// (§V-E): every slot is decided and absorbed in order, so later
+    /// slots — and later papers — see the mentions absorbed before them.
+    /// Returns each slot's name, decision and receiving vertex (see
+    /// [`crate::incremental::ingest_paper`]).
+    pub fn ingest(&mut self, paper: &Paper) -> Vec<(NameId, Decision, VertexId)> {
+        ingest_paper(
             &mut self.network,
+            &self.ctx,
             &mut self.engine,
+            self.gcn.model.as_ref(),
+            self.config.gcn.delta,
             paper,
-            slot,
-            decision,
-            &delta,
-        );
-    }
-
-    /// Stream a batch of papers through decide-then-absorb, slot by slot.
-    /// Bit-identical to the paper-at-a-time loop
-    /// (`disambiguate` + `absorb` per slot, pinned in
-    /// `tests/determinism.rs`), but the per-slot evidence — transient
-    /// profile, star WL features, clique triangles — is computed once and
-    /// shared between the decision and the absorb, which halves the
-    /// per-mention profile work on the daemon's ingest path.
-    pub fn ingest_batch(&mut self, papers: &[Paper]) -> Vec<Vec<(NameId, Decision)>> {
-        papers
-            .iter()
-            .map(|paper| {
-                (0..paper.authors.len())
-                    .map(|slot| {
-                        let name = paper.authors[slot];
-                        let evidence =
-                            MentionEvidence::gather(&self.ctx, &self.engine, paper, slot);
-                        let decision = match &self.gcn.model {
-                            Some(model) => match self.network.by_name.get(&name) {
-                                Some(candidates) => decide_with_evidence(
-                                    &self.network,
-                                    &self.ctx,
-                                    &self.engine,
-                                    model,
-                                    self.config.gcn.delta,
-                                    &evidence,
-                                    candidates,
-                                ),
-                                None => Decision::NewAuthor { best_score: None },
-                            },
-                            None => Decision::NewAuthor { best_score: None },
-                        };
-                        absorb_mention(
-                            &mut self.network,
-                            &mut self.engine,
-                            paper,
-                            slot,
-                            decision,
-                            &evidence.profile,
-                        );
-                        (name, decision)
-                    })
-                    .collect()
-            })
-            .collect()
+        )
     }
 
     /// Read-only access to the similarity caches over [`Iuad::network`],
@@ -440,10 +392,13 @@ mod tests {
         let mut iuad = Iuad::fit(&base, &IuadConfig::default());
         let before = iuad.network.assignment.len();
         let (paper, _) = &tail[0];
-        let d = iuad.disambiguate(paper, 0);
-        iuad.absorb(paper, 0, d);
-        assert_eq!(iuad.network.assignment.len(), before + 1);
-        let m = Mention::new(paper.id, 0);
-        assert!(iuad.network.assignment.contains_key(&m));
+        let resolved = iuad.ingest(paper);
+        assert_eq!(resolved.len(), paper.authors.len());
+        assert_eq!(iuad.network.assignment.len(), before + paper.authors.len());
+        for (slot, &(name, _, v)) in resolved.iter().enumerate() {
+            let m = Mention::new(paper.id, slot);
+            assert_eq!(iuad.network.assignment.get(&m), Some(&v));
+            assert_eq!(iuad.network.graph.vertex(v).name, name);
+        }
     }
 }

@@ -80,10 +80,10 @@ impl Scn {
     }
 
     /// Freeze this network's adjacency as a [`iuad_graph::Csr`] snapshot —
-    /// built once per network by every engine build or refresh so the
-    /// structural kernels (WL, triangles, balls) walk contiguous sorted
-    /// memory. The snapshot does not track later mutations (e.g.
-    /// [`crate::Iuad::absorb`] appending vertices).
+    /// built once per engine build or epoch publish so the structural
+    /// kernels (WL, triangles) walk contiguous sorted memory. The snapshot
+    /// does not track later mutations (e.g. [`crate::Iuad::ingest`]
+    /// appending vertices).
     pub fn csr(&self) -> iuad_graph::Csr {
         self.graph.csr()
     }

@@ -131,34 +131,6 @@ impl Csr {
             out.sort_unstable();
         });
     }
-
-    /// Expand `seeds` by `radius` BFS hops, marking every reached vertex in
-    /// `reached` (which must be `num_vertices` long; pre-set entries count
-    /// as already-visited). The multi-source form the in-place engine
-    /// refresh uses to mark the dirty region around touched vertices.
-    pub fn mark_ball(&self, seeds: &[VertexId], radius: usize, reached: &mut [bool]) {
-        assert_eq!(reached.len(), self.num_vertices());
-        let mut frontier: Vec<VertexId> = Vec::with_capacity(seeds.len());
-        for &v in seeds {
-            reached[v.index()] = true;
-            frontier.push(v);
-        }
-        for _ in 0..radius {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &w in self.neighbors(u) {
-                    if !reached[w.index()] {
-                        reached[w.index()] = true;
-                        next.push(w);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -214,22 +186,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mark_ball_is_union_of_balls() {
-        let g = sample();
-        let csr = Csr::from_graph(&g);
-        let seeds = [VertexId(0), VertexId(5)];
-        let mut reached = vec![false; csr.num_vertices()];
-        csr.mark_ball(&seeds, 1, &mut reached);
-        let mut expect = vec![false; csr.num_vertices()];
-        for s in seeds {
-            for v in g.ball(s, 1) {
-                expect[v.index()] = true;
-            }
-        }
-        assert_eq!(reached, expect);
     }
 
     #[test]

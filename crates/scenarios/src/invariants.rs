@@ -628,7 +628,7 @@ pub fn wal_compaction_matches_live(
 /// The incremental interface is consistent with the batch pipeline:
 /// `disambiguate_paper` agrees slot-for-slot with `disambiguate_mention`,
 /// matched vertices always bear the mention's name, repeated queries are
-/// pure, and `absorb` bookkeeping exactly tracks decisions. Returns the
+/// pure, and `ingest` bookkeeping exactly tracks decisions. Returns the
 /// streaming statistics alongside the report.
 pub fn incremental_consistency(
     corpus: &Corpus,
@@ -690,41 +690,50 @@ pub fn incremental_consistency(
                 }
             }
         }
-        // Absorb slot by slot, checking the bookkeeping after each step.
-        // Decisions are re-taken against the *current* network (earlier
-        // absorbs of this paper may have changed it); the per-paper pass
-        // above validated API agreement on the frozen network.
-        for slot in 0..paper.authors.len() {
+        // Ingest the paper, then check the bookkeeping. Decisions are
+        // re-taken against the *current* network (earlier slots of this
+        // paper may have changed it); the per-paper pass above validated
+        // API agreement on the frozen network.
+        let assigned_before = iuad.network.assignment.len();
+        let vertices_before = iuad.network.graph.num_vertices();
+        let resolved = iuad.ingest(paper);
+        if iuad.network.assignment.len() != assigned_before + paper.authors.len() {
+            fail!(
+                "ingest of paper {:?} did not register its {} mentions",
+                paper.id,
+                paper.authors.len()
+            );
+        }
+        let founded = resolved
+            .iter()
+            .filter(|(_, d, _)| matches!(d, Decision::NewAuthor { .. }))
+            .count();
+        let grew = iuad.network.graph.num_vertices() - vertices_before;
+        if grew != founded {
+            fail!("{founded} NewAuthor decisions grew {grew} vertices");
+        }
+        outcome.streamed_mentions += resolved.len();
+        outcome.new_authors += founded;
+        for (slot, &(_, d, v)) in resolved.iter().enumerate() {
             let mention = Mention::new(paper.id, slot);
-            let assigned_before = iuad.network.assignment.len();
-            let vertices_before = iuad.network.graph.num_vertices();
-            let d = iuad.disambiguate(paper, slot);
-            let is_new = matches!(d, Decision::NewAuthor { .. });
-            iuad.absorb(paper, slot, d);
-            outcome.streamed_mentions += 1;
-            if iuad.network.assignment.len() != assigned_before + 1 {
-                fail!("absorb did not register mention {mention:?}");
+            if iuad.network.assignment.get(&mention) != Some(&v) {
+                fail!("mention {mention:?} is not on the vertex ingest reported");
             }
-            let grew = iuad.network.graph.num_vertices() - vertices_before;
-            if is_new {
-                outcome.new_authors += 1;
-                if grew != 1 {
-                    fail!("NewAuthor absorb grew {grew} vertices");
-                }
-            } else if grew != 0 {
-                fail!("Existing absorb grew {grew} vertices");
-            }
-            let v = iuad.network.assignment[&mention];
             if iuad.network.graph.vertex(v).name != paper.authors[slot] {
                 fail!("absorbed mention {mention:?} into wrong-name vertex");
             }
             if let Decision::Existing { vertex, .. } = d {
+                if vertex != v {
+                    fail!("mention {mention:?} absorbed away from its matched vertex");
+                }
                 outcome.matched += 1;
-                // Majority-truth of the matched vertex vs the mention's
-                // ground truth (streaming accuracy, reported not asserted).
+                // Majority-truth of the matched vertex as the decision saw
+                // it — without this slot's or any later slot's mention — vs
+                // the mention's ground truth (streaming accuracy, reported
+                // not asserted).
                 let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
                 for m in &iuad.network.graph.vertex(vertex).mentions {
-                    if *m == mention {
+                    if m.paper == paper.id && m.slot >= mention.slot {
                         continue;
                     }
                     *counts.entry(corpus.truth_of(*m).0).or_insert(0) += 1;

@@ -22,7 +22,7 @@
 //! Cold names never wait on a hot name's backlog, which is what bounds
 //! their tail latency (see the `serve-load` artefact).
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
@@ -41,6 +41,8 @@ use crate::fault::FaultInjector;
 use crate::replica::{ReplicaStatus, ReplicationHub};
 use crate::snapshot::EpochStore;
 use crate::state::ServeState;
+use crate::wal::WalRecord;
+use crate::{read_capped_line, MAX_LINE_BYTES};
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
@@ -521,18 +523,21 @@ fn serve_connection(stream: TcpStream, ctx: &WorkerCtx) -> ConnState {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
         if ctx.shutdown.load(Ordering::Relaxed) {
             return ConnState::Closed;
         }
-        match reader.read_line(&mut line) {
+        match read_capped_line(&mut reader, &mut line) {
             Ok(0) => return ConnState::Closed,
             Ok(_) => {
-                let response = if line.trim().is_empty() {
-                    None
-                } else {
-                    Some(handle_request(line.trim(), ctx))
+                let response = match std::str::from_utf8(&line).map(str::trim) {
+                    Ok("") => None,
+                    Ok(request) => Some(handle_request(request, ctx)),
+                    Err(_) => {
+                        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
+                        Some(err_response("request is not UTF-8"))
+                    }
                 };
                 line.clear();
                 if let Some(response) = response {
@@ -553,6 +558,15 @@ fn serve_connection(stream: TcpStream, ctx: &WorkerCtx) -> ConnState {
                 if line.is_empty() && reader.buffer().is_empty() {
                     return ConnState::Idle(writer);
                 }
+            }
+            // A line past the cap is refused before it is buffered, and
+            // the connection dropped.
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
+                if let Ok(json) = serde_json::to_string(&err_response(&e.to_string())) {
+                    let _ = writeln!(writer, "{json}");
+                }
+                return ConnState::Closed;
             }
             Err(_) => return ConnState::Closed,
         }
@@ -711,6 +725,12 @@ fn ingest(fields: &[(String, Value)], ctx: &WorkerCtx) -> Value {
         venue: VenueId(get_u64(fields, "venue").unwrap_or(0) as u32),
         year: get_u64(fields, "year").unwrap_or(2000) as u16,
     };
+    if WalRecord::widest_frame_len(&paper) > MAX_LINE_BYTES {
+        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
+        return err_response(&format!(
+            "paper too large: its logged record could pass {MAX_LINE_BYTES} bytes"
+        ));
+    }
     let (reply_tx, reply_rx) = mpsc::channel();
     // Gauge before the send so the ingest thread's decrement can never
     // observe the message before the increment (the gauge may transiently

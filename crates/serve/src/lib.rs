@@ -52,6 +52,8 @@
 
 #![warn(missing_docs)]
 
+use std::io::{BufRead, Read};
+
 pub mod checkpoint;
 pub mod client;
 pub mod crash;
@@ -82,3 +84,31 @@ pub use replica::{
 pub use snapshot::{EpochStore, ProfileView, Snapshot};
 pub use state::{Recovery, ServeState};
 pub use wal::{read_wal, Wal, WalDecision, WalRecord};
+
+/// Most bytes one daemon request line or replication frame may hold,
+/// newline included. A peer that sends more without a newline is refused
+/// and disconnected instead of growing the reader's buffer without bound.
+/// The daemon refuses an ingest whose logged record could frame past this
+/// cap ([`WalRecord::widest_frame_len`]), so every record it ships fits a
+/// follower's frame read.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Append one `\n`-terminated line from `reader` to `buf`, buffering at
+/// most one byte past [`MAX_LINE_BYTES`]. Returns the bytes appended (0 at
+/// end of stream), or an [`std::io::ErrorKind::InvalidData`] error once
+/// `buf` holds more than the cap. Partial bytes stay in `buf` across a read
+/// timeout, and the next call appends the rest.
+pub(crate) fn read_capped_line<R: BufRead>(
+    reader: &mut R,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<usize> {
+    let budget = (MAX_LINE_BYTES + 1).saturating_sub(buf.len()) as u64;
+    let read = reader.take(budget).read_until(b'\n', buf)?;
+    if buf.len() > MAX_LINE_BYTES {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("line too long (over {MAX_LINE_BYTES} bytes)"),
+        ));
+    }
+    Ok(read)
+}

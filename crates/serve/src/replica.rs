@@ -38,7 +38,7 @@
 //! bit-identical to the primary's durable prefix at every one.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::str;
@@ -51,9 +51,10 @@ use iuad_corpus::Paper;
 use serde::{Deserialize, Serialize};
 
 use crate::fault::{splitmix, CrashPoint, FaultInjector, SimulatedCrash};
+use crate::read_capped_line;
 use crate::snapshot::EpochStore;
 use crate::state::{RecordOutcome, ServeState};
-use crate::wal::{Wal, WalRecord};
+use crate::wal::{frame, Wal, WalRecord};
 
 /// Which side of the replication stream a daemon is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,14 +138,6 @@ fn invalid(message: &str) -> std::io::Error {
     std::io::Error::new(ErrorKind::InvalidData, message.to_owned())
 }
 
-/// Encode one value as a wire frame: `LEN<TAB>JSON\n` (the WAL's own
-/// framing, so a torn ship is detected exactly like a torn log tail).
-fn frame<T: Serialize>(value: &T) -> std::io::Result<Vec<u8>> {
-    let json = serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    Ok(format!("{}\t{}\n", json.len(), json).into_bytes())
-}
-
 /// Decode one complete frame line. A length mismatch (torn ship), bad
 /// UTF-8, or unparseable JSON is an error — the connection is dropped and
 /// the cursor handshake resyncs, mirroring how WAL replay drops a torn
@@ -178,12 +171,14 @@ enum FrameRead<T> {
 /// Read one frame, preserving partial bytes across read timeouts. `buf`
 /// is the caller's accumulator and must persist between calls: a timeout
 /// mid-frame leaves the prefix in `buf`, and the next call appends the
-/// rest. EOF mid-frame is a torn frame and errors (drop the connection).
+/// rest. EOF mid-frame is a torn frame and errors (drop the connection),
+/// and so does a frame past [`crate::MAX_LINE_BYTES`], which is never buffered
+/// beyond one byte over the cap.
 fn read_frame<T: Deserialize>(
     reader: &mut BufReader<TcpStream>,
     buf: &mut Vec<u8>,
 ) -> std::io::Result<FrameRead<T>> {
-    match reader.read_until(b'\n', buf) {
+    match read_capped_line(reader, buf) {
         Ok(0) if buf.is_empty() => Ok(FrameRead::Closed),
         Ok(_) => {
             if buf.last() != Some(&b'\n') {
@@ -443,6 +438,10 @@ fn sender(
     let mut buf = Vec::new();
     let sync: SyncFrame = match read_frame(&mut reader, &mut buf) {
         Ok(FrameRead::Frame(sync)) => sync,
+        Err(e) if e.kind() == ErrorKind::InvalidData => {
+            let _ = send(&mut writer, &SyncFrame::refused(&e.to_string()));
+            return;
+        }
         _ => return,
     };
     if sync.t != "sync" {

@@ -1,27 +1,28 @@
 //! The ingest side: live mutable state, epoch publishing, WAL replay.
 //!
-//! [`ServeState`] owns the fitted pipeline's parts. Ingest streams papers
-//! through decide-then-absorb (the §V-E path, evidence computed once per
-//! slot exactly like [`iuad_core::Iuad::ingest_batch`]); each accepted
-//! paper is WAL-logged with its decisions before the caller sees the
-//! reply. Publishing an epoch re-canonicalizes the live engine in place
-//! with one [`SimilarityEngine::refresh`] over the vertices touched since
-//! the last publish: absorbed-into profiles are rebuilt exactly from their
-//! mentions, the invalidated structural caches are recomputed inside the
-//! dirty region, and everything else stays as it is. The refreshed
-//! engine is therefore identical to a from-scratch build over the live
-//! network; the snapshot takes a clone of it, and subsequent decisions
-//! score against the same canonical state.
+//! [`ServeState`] owns the fitted pipeline's parts. Ingest streams each
+//! paper through [`iuad_core::ingest_paper`], the §V-E decide-then-absorb
+//! path that [`iuad_core::Iuad::ingest`] also uses; each accepted paper is
+//! WAL-logged with its decisions before the caller sees the reply.
+//! Publishing an epoch re-canonicalizes the live engine in place with one
+//! [`SimilarityEngine::refresh`] over the vertices touched since the last
+//! publish: absorbed-into profiles are rebuilt exactly from their
+//! mentions, vertices founded since get their structural caches, and
+//! name groups whose join evidence absorb dropped rebuild it. Streaming
+//! adds no edge, so everything else stays as it is. The refreshed engine
+//! is therefore identical to a from-scratch build over the live network;
+//! the snapshot takes a clone of it, and subsequent decisions score
+//! against the same canonical state.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use iuad_core::{
-    absorb_mention, decide_with_evidence, Decision, Gcn, Iuad, IuadConfig, MentionEvidence,
-    ProfileContext, Scn, SimilarityEngine,
+    absorb_mention, ingest_paper, Decision, Gcn, Iuad, IuadConfig, ProfileContext, Scn,
+    SimilarityEngine, VertexProfile,
 };
 use iuad_corpus::{NameId, Paper, PaperId};
-use iuad_graph::VertexId;
+use iuad_graph::{Csr, VertexId};
 
 use crate::checkpoint::{
     list_checkpoints, prune_checkpoints, read_checkpoint, write_checkpoint, CheckpointMeta,
@@ -163,6 +164,9 @@ impl ServeState {
     /// Ingest one paper: rewrite its id to the next slot, register its
     /// evidence with the context, decide-and-absorb every author slot, and
     /// WAL the record. Returns the assigned id and the per-slot decisions.
+    /// A replicated caller keeps [`WalRecord::widest_frame_len`] within
+    /// [`crate::MAX_LINE_BYTES`], as the daemon does, or followers cannot
+    /// read the shipped record.
     ///
     /// # Panics
     /// On WAL write failure: an acknowledged ingest must be durable, so a
@@ -190,37 +194,20 @@ impl ServeState {
         (paper.id, decisions)
     }
 
-    /// Decide live and absorb every slot of `paper`, tracking touched
-    /// vertices for the next publish.
+    /// Decide live and absorb every slot of `paper` through the shared
+    /// [`ingest_paper`] path, tracking touched vertices for the next
+    /// publish.
     fn apply(&mut self, paper: &Paper) -> Vec<(NameId, Decision)> {
-        (0..paper.authors.len())
-            .map(|slot| {
-                let name = paper.authors[slot];
-                let evidence = MentionEvidence::gather(&self.ctx, &self.engine, paper, slot);
-                let decision = match (&self.gcn.model, self.network.by_name.get(&name)) {
-                    (Some(model), Some(candidates)) => decide_with_evidence(
-                        &self.network,
-                        &self.ctx,
-                        &self.engine,
-                        model,
-                        self.config.gcn.delta,
-                        &evidence,
-                        candidates,
-                    ),
-                    _ => Decision::NewAuthor { best_score: None },
-                };
-                let v = absorb_mention(
-                    &mut self.network,
-                    &mut self.engine,
-                    paper,
-                    slot,
-                    decision,
-                    &evidence.profile,
-                );
-                self.touched.push(v);
-                (name, decision)
-            })
-            .collect()
+        let resolved = ingest_paper(
+            &mut self.network,
+            &self.ctx,
+            &mut self.engine,
+            self.gcn.model.as_ref(),
+            self.config.gcn.delta,
+            paper,
+        );
+        self.touched.extend(resolved.iter().map(|&(_, _, v)| v));
+        resolved.into_iter().map(|(name, d, _)| (name, d)).collect()
     }
 
     /// Absorb every slot of `paper` with the *recorded* decisions,
@@ -230,7 +217,9 @@ impl ServeState {
     /// run up front). Checkpoint and WAL bytes are external input to
     /// recovery — a record that parsed but carries an out-of-range vertex
     /// or one publishing under a different name must fail the attempt, not
-    /// corrupt the rebuilt network.
+    /// corrupt the rebuilt network. Absorbing needs only each mention's
+    /// single-paper profile, not the structural evidence a live decision
+    /// gathers.
     fn apply_recorded(&mut self, paper: &Paper, decisions: &[WalDecision]) -> Result<(), String> {
         if decisions.len() != paper.authors.len() {
             return Err(format!(
@@ -261,14 +250,14 @@ impl ServeState {
                     ));
                 }
             }
-            let evidence = MentionEvidence::gather(&self.ctx, &self.engine, paper, slot);
+            let profile = VertexProfile::from_new_paper(name, paper, &self.ctx);
             let v = absorb_mention(
                 &mut self.network,
                 &mut self.engine,
                 paper,
                 slot,
                 decision,
-                &evidence.profile,
+                &profile,
             );
             self.touched.push(v);
         }
@@ -351,9 +340,11 @@ impl ServeState {
         if let Some(faults) = &self.faults {
             faults.check(CrashPoint::BeforePublish);
         }
+        let csr = self.network.csr();
         self.engine.refresh(
             &self.touched,
             &self.network,
+            &csr,
             &self.ctx,
             &self.config.parallel,
         );
@@ -370,15 +361,7 @@ impl ServeState {
         if let Some(faults) = &self.faults {
             faults.check(CrashPoint::AfterPublish);
         }
-        Snapshot {
-            epoch: self.epoch,
-            network: self.network.clone(),
-            csr: self.network.csr(),
-            ctx: self.ctx.clone(),
-            engine: self.engine.clone(),
-            model: self.gcn.model.clone(),
-            delta: self.config.gcn.delta,
-        }
+        self.snapshot(csr)
     }
 
     /// A [`Snapshot`] of the state as it stands, labelled with the last
@@ -389,10 +372,16 @@ impl ServeState {
     /// so serving them under the last published epoch label never exposes
     /// an epoch the primary did not publish.
     pub fn snapshot_now(&self) -> Snapshot {
+        self.snapshot(self.network.csr())
+    }
+
+    /// The state as it stands, over `csr` (its network's frozen
+    /// adjacency), labelled with the last published epoch.
+    fn snapshot(&self, csr: Csr) -> Snapshot {
         Snapshot {
             epoch: self.epoch,
             network: self.network.clone(),
-            csr: self.network.csr(),
+            csr,
             ctx: self.ctx.clone(),
             engine: self.engine.clone(),
             model: self.gcn.model.clone(),

@@ -41,7 +41,7 @@ use std::str;
 use std::sync::Arc;
 
 use iuad_core::Decision;
-use iuad_corpus::Paper;
+use iuad_corpus::{Paper, PaperId};
 use iuad_graph::VertexId;
 use serde::{Deserialize, Serialize};
 
@@ -146,6 +146,37 @@ impl WalRecord {
             decisions: None,
         }
     }
+
+    /// Byte length of the widest frame a paper record for `paper` can
+    /// take once its id is assigned and its slots decided: the record
+    /// framed with the largest id and, in every slot, the widest decision
+    /// (`"existing"`, the largest vertex, and a score whose shortest
+    /// round-trip form is the longest an `f64` has). The daemon refuses an
+    /// ingest whose bound passes [`crate::MAX_LINE_BYTES`], the frame cap
+    /// followers read with.
+    pub fn widest_frame_len(paper: &Paper) -> usize {
+        let widest = WalDecision {
+            kind: "existing".to_owned(),
+            vertex: Some(u32::MAX),
+            score: Some(-f64::MIN_POSITIVE),
+        };
+        let decisions = vec![widest; paper.authors.len()];
+        let paper = Paper {
+            id: PaperId(u32::MAX),
+            ..paper.clone()
+        };
+        let record = WalRecord::paper(paper, decisions);
+        frame(&record).map_or(usize::MAX, |bytes| bytes.len())
+    }
+}
+
+/// Encode one value as a frame: `LEN<TAB>JSON\n`. The WAL and the
+/// replication stream share it, so a torn ship is detected exactly like a
+/// torn log tail.
+pub(crate) fn frame<T: Serialize>(value: &T) -> std::io::Result<Vec<u8>> {
+    let json = serde_json::to_string(value)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    Ok(format!("{}\t{}\n", json.len(), json).into_bytes())
 }
 
 /// An open write-ahead log. Every append is flushed to the OS before
@@ -228,21 +259,19 @@ impl Wal {
 
     /// Append one record and flush (and fsync, if [`Wal::set_fsync`]).
     pub fn append(&mut self, record: &WalRecord) -> std::io::Result<()> {
-        let json = serde_json::to_string(record)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let framed = format!("{}\t{}\n", json.len(), json);
+        let framed = frame(record)?;
         if let Some(faults) = &self.faults {
             if faults.hit(crate::fault::CrashPoint::MidRecordWrite) {
                 // Die mid-write: a seeded prefix of the framed bytes
                 // reaches the OS, the rest never will — the torn tail the
                 // length prefix exists to detect.
                 let cut = faults.torn_prefix(framed.len());
-                self.writer.write_all(&framed.as_bytes()[..cut])?;
+                self.writer.write_all(&framed[..cut])?;
                 self.writer.flush()?;
                 crate::fault::FaultInjector::crash(crate::fault::CrashPoint::MidRecordWrite);
             }
         }
-        self.writer.write_all(framed.as_bytes())?;
+        self.writer.write_all(&framed)?;
         self.writer.flush()?;
         if self.fsync {
             self.writer.get_ref().sync_data()?;
@@ -328,6 +357,30 @@ mod tests {
             title: "stable collaboration \"networks\"".to_owned(),
             venue: VenueId(2),
             year: 2021,
+        }
+    }
+
+    /// No decision a slot can carry frames wider than the placeholder
+    /// `widest_frame_len` measures with, so the daemon's size check before
+    /// the WAL append bounds the frame it ships.
+    #[test]
+    fn widest_frame_len_bounds_every_decided_record() {
+        let paper = sample_paper(u32::MAX);
+        let bound = WalRecord::widest_frame_len(&paper);
+        let mut bits = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..20_000 {
+            bits = bits.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let score = f64::from_bits(bits);
+            if !score.is_finite() {
+                continue;
+            }
+            let existing = Decision::Existing {
+                vertex: VertexId(u32::MAX),
+                score,
+            };
+            let decisions = vec![WalDecision::from_decision(&existing); 2];
+            let framed = frame(&WalRecord::paper(paper.clone(), decisions)).unwrap();
+            assert!(framed.len() <= bound, "{score:?}");
         }
     }
 

@@ -1,5 +1,5 @@
 //! Incremental disambiguation: fit IUAD on a base corpus, then stream newly
-//! published papers through `disambiguate` one at a time — no retraining —
+//! published papers through `Iuad::ingest` one at a time — no retraining —
 //! and measure the per-paper latency (the paper's Table VI scenario).
 //!
 //! ```sh
@@ -31,13 +31,11 @@ fn main() {
     let mut new_authors = 0usize;
     let start = Instant::now();
     for (paper, _truth) in &held_out {
-        for slot in 0..paper.authors.len() {
-            let decision = iuad.disambiguate(paper, slot);
+        for (_, decision, _) in iuad.ingest(paper) {
             match decision {
                 Decision::Existing { .. } => matched += 1,
                 Decision::NewAuthor { .. } => new_authors += 1,
             }
-            iuad.absorb(paper, slot, decision);
         }
     }
     let elapsed = start.elapsed();

@@ -4,7 +4,9 @@
 
 use std::collections::BTreeMap;
 
-use iuad_suite::core::{Iuad, IuadConfig, ParallelConfig};
+use iuad_suite::core::{
+    absorb_mention, disambiguate_mention, Iuad, IuadConfig, ParallelConfig, Scn, VertexProfile,
+};
 use iuad_suite::corpus::{Corpus, CorpusConfig};
 
 fn corpus() -> Corpus {
@@ -30,16 +32,15 @@ fn fit_with_threads(c: &Corpus, threads: usize) -> Iuad {
 type Fingerprint = (BTreeMap<(u32, u32), usize>, Vec<(u32, u32, usize, u32)>);
 
 /// Canonical view of a fitted network.
-fn fingerprint(iuad: &Iuad) -> Fingerprint {
-    let assignments: BTreeMap<(u32, u32), usize> = iuad
-        .network
+fn fingerprint(network: &Scn) -> Fingerprint {
+    let assignments: BTreeMap<(u32, u32), usize> = network
         .assignment
         .iter()
         .map(|(m, v)| ((m.paper.0, m.slot), v.index()))
         .collect();
     let mut edges: Vec<(u32, u32, usize, u32)> = Vec::new();
-    for (v, _) in iuad.network.graph.vertices() {
-        for (w, e) in iuad.network.graph.neighbors(v) {
+    for (v, _) in network.graph.vertices() {
+        for (w, e) in network.graph.neighbors(v) {
             if v < w {
                 edges.push((v.0, w.0, e.papers.len(), e.scr_support));
             }
@@ -84,7 +85,7 @@ const SEED_FINGERPRINT_HASH: u64 = 0x6588028bfdc07b1f;
 #[test]
 fn fingerprint_matches_recorded_seed_baseline() {
     let c = corpus();
-    let fp = fingerprint(&fit_with_threads(&c, 1));
+    let fp = fingerprint(&fit_with_threads(&c, 1).network);
     assert_eq!(
         fingerprint_hash(&fp),
         SEED_FINGERPRINT_HASH,
@@ -138,8 +139,8 @@ fn fit_is_identical_across_thread_counts() {
     // speedup is asserted by eye via `cargo bench -p iuad-bench` instead.
     eprintln!("fit: {t_seq:?} at 1 thread, {t_par:?} at {n} threads");
 
-    let (seq_assign, seq_edges) = fingerprint(&sequential);
-    let (par_assign, par_edges) = fingerprint(&parallel);
+    let (seq_assign, seq_edges) = fingerprint(&sequential.network);
+    let (par_assign, par_edges) = fingerprint(&parallel.network);
     assert_eq!(seq_assign, par_assign, "mention assignments diverged");
     assert_eq!(seq_edges, par_edges, "network edges diverged");
     assert_eq!(
@@ -161,13 +162,14 @@ fn stage1_network_is_identical_across_thread_counts() {
     assert_eq!(a.scn.scrs, b.scn.scrs);
 }
 
-/// The daemon's amortized ingest path must be indistinguishable from the
-/// incremental loop it replaces: `ingest_batch` shares per-mention
-/// evidence between the decision and the absorb, but every decision, the
-/// mention assignment, and the similarity caches have to come out bit
-/// for bit the same as paper-at-a-time `disambiguate` + `absorb`.
+/// The paper-level ingest path must be indistinguishable from the
+/// per-slot incremental loop it replaces: `Iuad::ingest` shares each
+/// mention's evidence between the decision and the absorb, but every
+/// decision, the mention assignment, and the similarity caches have to
+/// come out bit for bit the same as `disambiguate_mention` +
+/// `absorb_mention` slot by slot.
 #[test]
-fn ingest_batch_matches_paper_at_a_time_streaming() {
+fn ingest_matches_slot_at_a_time_streaming() {
     let c = Corpus::generate(&CorpusConfig {
         num_authors: 120,
         num_papers: 400,
@@ -177,32 +179,45 @@ fn ingest_batch_matches_paper_at_a_time_streaming() {
     let (base, tail) = c.split_tail(40);
     let config = IuadConfig::default();
 
-    let mut one_by_one = Iuad::fit(&base, &config);
+    let mut one_by_one = Iuad::fit(&base, &config).into_state();
+    let model = one_by_one.gcn.model.clone().expect("model fitted");
+    let delta = one_by_one.config.gcn.delta;
     let mut streamed_decisions = Vec::new();
     for (paper, _) in &tail {
-        for slot in 0..paper.authors.len() {
-            let decision = one_by_one.disambiguate(paper, slot);
-            one_by_one.absorb(paper, slot, decision);
-            streamed_decisions.push((paper.authors[slot], decision));
+        for (slot, &name) in paper.authors.iter().enumerate() {
+            let decision = disambiguate_mention(
+                &one_by_one.network,
+                &one_by_one.ctx,
+                &one_by_one.engine,
+                &model,
+                delta,
+                paper,
+                slot,
+            );
+            let profile = VertexProfile::from_new_paper(name, paper, &one_by_one.ctx);
+            let v = absorb_mention(
+                &mut one_by_one.network,
+                &mut one_by_one.engine,
+                paper,
+                slot,
+                decision,
+                &profile,
+            );
+            streamed_decisions.push((name, decision, v));
         }
     }
 
-    let mut batched = Iuad::fit(&base, &config);
-    let papers: Vec<_> = tail.iter().map(|(p, _)| p.clone()).collect();
-    let batched_decisions: Vec<_> = batched
-        .ingest_batch(&papers)
-        .into_iter()
-        .flatten()
-        .collect();
+    let mut ingested = Iuad::fit(&base, &config);
+    let ingested_decisions: Vec<_> = tail.iter().flat_map(|(p, _)| ingested.ingest(p)).collect();
 
-    assert_eq!(streamed_decisions, batched_decisions, "decisions diverged");
+    assert_eq!(streamed_decisions, ingested_decisions, "decisions diverged");
     assert_eq!(
-        fingerprint(&one_by_one),
-        fingerprint(&batched),
+        fingerprint(&one_by_one.network),
+        fingerprint(&ingested.network),
         "post-stream networks diverged"
     );
     assert_eq!(
-        one_by_one.engine().diff_from(batched.engine()),
+        one_by_one.engine.diff_from(ingested.engine()),
         None,
         "post-stream similarity caches diverged"
     );
@@ -224,8 +239,8 @@ fn odd_thread_and_chunk_configurations_agree() {
             },
         );
         assert_eq!(
-            fingerprint(&baseline),
-            fingerprint(&other),
+            fingerprint(&baseline.network),
+            fingerprint(&other.network),
             "threads={threads} chunk={chunk_size}"
         );
     }

@@ -202,12 +202,10 @@ fn incremental_stream_matches_network_growth() {
     let vertices_before = iuad.network.graph.num_vertices();
     let mut new_vertices = 0usize;
     for (paper, _) in &tail {
-        for slot in 0..paper.authors.len() {
-            let d = iuad.disambiguate(paper, slot);
+        for (_, d, _) in iuad.ingest(paper) {
             if matches!(d, iuad_suite::core::Decision::NewAuthor { .. }) {
                 new_vertices += 1;
             }
-            iuad.absorb(paper, slot, d);
         }
     }
     assert_eq!(

@@ -13,13 +13,13 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use iuad_suite::core::{CacheScope, Iuad, IuadConfig, SimilarityEngine};
+use iuad_suite::core::{CacheScope, Decision, Iuad, IuadConfig, SimilarityEngine};
 use iuad_suite::corpus::{Corpus, CorpusConfig, Paper};
 use iuad_suite::serve::{
     checkpoint_path, list_checkpoints, read_wal, response_field, response_ok, response_shed,
     run_crash_matrix, run_replica_matrix, run_replica_smoke, Backoff, Client, CrashSpec, Daemon,
     DaemonConfig, EpochStore, FaultInjector, Follower, FollowerConfig, ReplicaSpec, ReplicationHub,
-    ReplicationServer, ServeState, Wal,
+    ReplicationServer, ServeState, Wal, WalRecord, MAX_LINE_BYTES,
 };
 use serde::Value;
 
@@ -133,6 +133,37 @@ fn wal_replay_reproduces_live_state_bit_identically() {
     assert_eq!(live.engine().diff_from(&rebuilt), None);
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// Streaming adds mentions and vertices but never an edge — the
+/// precondition that lets an epoch publish keep every pre-stream vertex's
+/// WL and triangle caches. A change that makes streamed papers add their
+/// collaborations to the network must change this test on purpose.
+#[test]
+fn streaming_leaves_the_edge_set_untouched() {
+    let (base, tail) = corpus().split_tail(40);
+    let mut state = ServeState::new(Iuad::fit(&base, &IuadConfig::default()), None);
+    let before = state.network().graph.clone();
+    let (mut existing, mut founded) = (0usize, 0usize);
+    for (paper, _) in &tail {
+        for (_, decision) in state.ingest(paper.clone()).1 {
+            match decision {
+                Decision::Existing { .. } => existing += 1,
+                Decision::NewAuthor { .. } => founded += 1,
+            }
+        }
+    }
+    assert!(existing > 0, "the tail matched no existing author");
+    assert!(founded > 0, "the tail founded no new author");
+    let snapshot = state.publish();
+    let after = &state.network().graph;
+    assert_eq!(after.num_vertices(), before.num_vertices() + founded);
+    assert_eq!(after.num_edges(), before.num_edges());
+    for (v, _) in before.vertices() {
+        let neighbours = before.sorted_neighbors(v);
+        assert_eq!(after.sorted_neighbors(v), neighbours, "{v:?}");
+        assert_eq!(snapshot.csr.neighbors(v), neighbours.as_slice(), "{v:?}");
+    }
 }
 
 #[test]
@@ -995,13 +1026,11 @@ fn ingest_shed_backlog_never_exceeds_queue_capacity() {
     daemon.shutdown();
 }
 
-/// A request line of 100,000 `[` is refused as malformed. The JSON parser
-/// recurses once per nesting level, so without a depth cap this line runs
-/// a worker off its 2 MiB stack, and a stack overflow aborts the whole
-/// process rather than panicking one thread.
-#[test]
-fn deeply_nested_request_is_an_error_not_an_abort() {
-    use std::io::{BufRead, BufReader, Write};
+/// Send `payload` to a fresh daemon and require an error reply containing
+/// `expect`, exactly one `errors` increment, the hostile connection closed
+/// afterwards when `closes`, and the daemon still serving other clients.
+fn assert_hostile_line_refused(payload: &[u8], expect: &str, closes: bool) {
+    use std::io::{BufRead, BufReader, Read, Write};
 
     let (base, _) = corpus().split_tail(50);
     let state = ServeState::new(Iuad::fit(&base, &IuadConfig::default()), None);
@@ -1010,19 +1039,22 @@ fn deeply_nested_request_is_an_error_not_an_abort() {
     let errors_before = daemon.stats().errors.load(Ordering::Relaxed);
 
     let mut hostile = std::net::TcpStream::connect(addr).expect("connect hostile client");
-    let mut line = "[".repeat(100_000);
-    line.push('\n');
     hostile
-        .write_all(line.as_bytes())
-        .expect("send nested line");
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    hostile.write_all(payload).expect("send hostile line");
+    let mut reader = BufReader::new(&hostile);
     let mut reply = String::new();
-    BufReader::new(&hostile)
-        .read_line(&mut reply)
-        .expect("read reply");
+    reader.read_line(&mut reply).expect("read reply");
     assert!(
-        reply.contains("\"ok\":false") && reply.contains("malformed request"),
+        reply.contains("\"ok\":false") && reply.contains(expect),
         "expected an error reply, got {reply:?}"
     );
+    if closes {
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("connection closed");
+        assert!(rest.is_empty(), "unexpected bytes after the reply");
+    }
     assert_eq!(
         daemon.stats().errors.load(Ordering::Relaxed),
         errors_before + 1
@@ -1032,4 +1064,109 @@ fn deeply_nested_request_is_an_error_not_an_abort() {
     let ping = Client::request("name_group", vec![("name", Value::U64(1))]);
     assert!(response_ok(&client.call(&ping).expect("still served")));
     daemon.shutdown();
+}
+
+/// A request line of 100,000 `[` is refused as malformed. The JSON parser
+/// recurses once per nesting level, so without a depth cap this line runs
+/// a worker off its 2 MiB stack, and a stack overflow aborts the whole
+/// process rather than panicking one thread.
+#[test]
+fn deeply_nested_request_is_an_error_not_an_abort() {
+    let mut line = "[".repeat(100_000);
+    line.push('\n');
+    assert_hostile_line_refused(line.as_bytes(), "malformed request", false);
+}
+
+/// A peer that never sends a newline must not grow daemon memory without
+/// bound: past `MAX_LINE_BYTES` the request line is refused and the
+/// connection closed.
+#[test]
+fn oversized_request_line_is_refused_and_the_daemon_keeps_serving() {
+    assert_hostile_line_refused(&vec![b'x'; MAX_LINE_BYTES + 1], "too long", true);
+}
+
+/// The replication endpoint bounds its frame reads the same way: a
+/// "follower" whose handshake frame runs past `MAX_LINE_BYTES` without a
+/// newline is refused and disconnected at once, not buffered until the
+/// read times out.
+#[test]
+fn oversized_replication_frame_is_refused() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let hub = ReplicationHub::new(Vec::new());
+    let server = ReplicationServer::spawn(hub, None).expect("spawn replication server");
+    let mut hostile = std::net::TcpStream::connect(server.addr()).expect("connect");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    hostile
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("send oversized frame");
+    let mut reply = String::new();
+    BufReader::new(&hostile)
+        .read_line(&mut reply)
+        .expect("read reply");
+    assert!(
+        reply.contains("\"refused\"") && reply.contains("too long"),
+        "expected a refused frame, got {reply:?}"
+    );
+    server.shutdown();
+}
+
+/// A logged record frames wider than its request, so a request under
+/// `MAX_LINE_BYTES` could log a record past the follower's frame cap and
+/// stall every follower on its resend. The daemon refuses that ingest.
+#[test]
+fn ingest_whose_record_could_pass_the_frame_cap_is_refused() {
+    let line = format!(
+        "{{\"op\":\"ingest\",\"authors\":[3],\"title\":\"{}\"}}\n",
+        "x".repeat(MAX_LINE_BYTES - 100)
+    );
+    assert_hostile_line_refused(line.as_bytes(), "paper too large", false);
+}
+
+/// A record whose widest frame is exactly the cap is logged, shipped and
+/// applied: a live follower catches up bit-identical to the primary.
+#[test]
+fn record_at_the_frame_cap_replicates() {
+    let (base, tail) = corpus().split_tail(1);
+    let fit_state = ServeState::new(Iuad::fit(&base, &IuadConfig::default()), None);
+    let path = scratch_wal("frame-cap.wal");
+    scrub_serving_files(&path);
+    let mut primary = fit_state.clone_base();
+    primary.set_wal(Some(Wal::create(&path).expect("create WAL")));
+    let hub = ReplicationHub::new(primary.durable_history().expect("empty history"));
+    primary.set_ship(Some(std::sync::Arc::clone(&hub)));
+    let server = ReplicationServer::spawn(hub, None).expect("replication server");
+    let follower = Follower::spawn(
+        fit_state.clone_base(),
+        server.addr(),
+        &FollowerConfig::default(),
+    )
+    .expect("spawn follower");
+
+    // The length prefix grows with the title, so step down onto the cap.
+    let mut paper = tail[0].0.clone();
+    paper.title = "x".repeat(MAX_LINE_BYTES);
+    while WalRecord::widest_frame_len(&paper) > MAX_LINE_BYTES {
+        let excess = WalRecord::widest_frame_len(&paper) - MAX_LINE_BYTES;
+        paper.title.truncate(paper.title.len() - excess);
+    }
+    assert_eq!(WalRecord::widest_frame_len(&paper), MAX_LINE_BYTES);
+    primary.ingest(paper);
+    primary.publish();
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while follower.status().applied_epoch() < primary.epoch() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "follower never applied the record at the cap"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let follower_state = follower.shutdown();
+    server.shutdown();
+    assert_eq!(follower_state.fingerprint(), primary.fingerprint());
+    assert_eq!(follower_state.engine().diff_from(primary.engine()), None);
+    scrub_serving_files(&path);
 }
