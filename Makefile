@@ -3,7 +3,7 @@
 
 .PHONY: build test lint fmt doc bench bench-smoke bench-build bench-json bench-scale perf-guard scale-guard scenarios serve-smoke serve-crash serve-replica repro all
 
-all: build test lint doc
+all: build test lint doc bench-build
 
 build:
 	cargo build --release

@@ -5,8 +5,8 @@
 //! cargo run --release -p iuad-bench --bin repro -- table3 fig6
 //! ```
 //!
-//! Artefact ids: `perf scenarios serve-load fig3 table2 table3 table4
-//! table5 fig5 table6 fig6 ablation-eta ablation-delta ablation-sampling
+//! Artefact ids: `perf scenarios fig3 table2 table3 table4 table5 fig5
+//! table6 fig6 ablation-eta ablation-delta ablation-sampling
 //! ablation-split ablation-features`, plus `scale` (also reachable as
 //! `perf --scale`), which is *not* part of `all`: it generates its own
 //! 100k-paper corpus (and the 1M tier with `IUAD_SCALE_1M=1`) and writes
@@ -14,19 +14,16 @@
 //! `perf` measures stage wall-times and writes `BENCH_pipeline.json`
 //! (single-threaded baseline: `IUAD_BENCH_THREADS=1 repro perf`);
 //! `scenarios` runs the conformance matrix and writes `SCENARIOS.json`
-//! (it generates its own adversarial corpora, not the benchmark corpus);
-//! `serve-load` drives a live daemon with hot-name query skew and writes
-//! wall-clock latency/shed numbers to the gitignored `results/` only.
+//! (it generates its own adversarial corpora, not the benchmark corpus).
 
 use std::time::Instant;
 
 use iuad_bench::{benchmark_corpus, experiments};
 use iuad_corpus::Corpus;
 
-const ALL: [&str; 16] = [
+const ALL: [&str; 15] = [
     "perf",
     "scenarios",
-    "serve-load",
     "fig3",
     "table2",
     "table3",
@@ -70,7 +67,6 @@ fn dispatch(id: &str, corpus: &mut LazyCorpus) -> Option<String> {
         "perf" => experiments::perf::run(corpus.get()),
         "scale" => experiments::scale::run(),
         "scenarios" => experiments::scenarios::run(),
-        "serve-load" => experiments::serve_load::run(),
         "fig3" => experiments::fig3::run(corpus.get()),
         "table2" => experiments::table2::run(corpus.get()),
         "table3" => experiments::table3::run(corpus.get()),

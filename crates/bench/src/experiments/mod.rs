@@ -11,7 +11,6 @@ pub mod fig6;
 pub mod perf;
 pub mod scale;
 pub mod scenarios;
-pub mod serve_load;
 pub mod table2;
 pub mod table3;
 pub mod table4;

@@ -31,15 +31,14 @@
 //! (see [`crate::ServeState::recover`]).
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::str;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::fault::{CrashPoint, FaultInjector};
-use crate::wal::{fsync_parent_dir, WalRecord};
+use crate::wal::{frame, fsync_parent_dir, unframe, WalRecord};
 
 /// Checkpoint header: identity and self-description of the folded stream.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -122,10 +121,9 @@ pub fn write_checkpoint(
 ) -> std::io::Result<PathBuf> {
     let final_path = checkpoint_path(wal_path, meta.seq);
     let tmp_path = final_path.with_extension(format!("{:06}.tmp", meta.seq));
-    let mut content = Vec::new();
-    frame_into(&mut content, meta)?;
+    let mut content = frame(meta)?;
     for record in records {
-        frame_into(&mut content, record)?;
+        content.extend_from_slice(&frame(record)?);
     }
     if let Some(faults) = faults {
         if faults.hit(CrashPoint::MidCheckpointWrite) {
@@ -157,16 +155,13 @@ pub fn write_checkpoint(
 /// recovery can fall back to an older checkpoint instead of trusting a
 /// partial fold.
 pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, String> {
-    let file = File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
-    let mut reader = BufReader::new(file);
-    let header: CheckpointMeta = next_frame(&mut reader)?.ok_or("empty checkpoint file")?;
+    let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+    let header: CheckpointMeta = unframe(lines.next().ok_or("empty checkpoint file")?)?;
     if header.version != 1 {
         return Err(format!("unsupported checkpoint version {}", header.version));
     }
-    let mut records = Vec::new();
-    while let Some(record) = next_frame::<WalRecord>(&mut reader)? {
-        records.push(record);
-    }
+    let records = lines.map(unframe).collect::<Result<Vec<WalRecord>, _>>()?;
     if records.len() as u64 != header.records {
         return Err(format!(
             "checkpoint truncated: header declares {} records, file has {}",
@@ -219,46 +214,6 @@ pub(crate) fn scrub_wal_and_checkpoints(wal_path: &Path) {
     for (_, path) in list_checkpoints(wal_path).unwrap_or_default() {
         std::fs::remove_file(path).ok();
     }
-}
-
-/// Append one `LEN<TAB>JSON\n` frame of `value` to `out`.
-fn frame_into<T: Serialize>(out: &mut Vec<u8>, value: &T) -> std::io::Result<()> {
-    let json = serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    out.extend_from_slice(json.len().to_string().as_bytes());
-    out.push(b'\t');
-    out.extend_from_slice(json.as_bytes());
-    out.push(b'\n');
-    Ok(())
-}
-
-/// Read the next frame, strictly: `Ok(None)` only at clean EOF, `Err` on
-/// any framing or parse defect.
-fn next_frame<T: Deserialize>(reader: &mut BufReader<File>) -> Result<Option<T>, String> {
-    let mut buf = Vec::new();
-    let n = reader
-        .read_until(b'\n', &mut buf)
-        .map_err(|e| format!("read: {e}"))?;
-    if n == 0 {
-        return Ok(None);
-    }
-    let line = str::from_utf8(&buf).map_err(|_| "frame is not UTF-8".to_owned())?;
-    let (len_str, rest) = line.split_once('\t').ok_or("frame missing length prefix")?;
-    let declared = len_str
-        .parse::<usize>()
-        .map_err(|_| format!("bad length prefix `{len_str}`"))?;
-    let payload = rest
-        .strip_suffix('\n')
-        .ok_or("frame missing trailing newline")?;
-    if payload.len() != declared {
-        return Err(format!(
-            "frame declares {declared} bytes, carries {}",
-            payload.len()
-        ));
-    }
-    serde_json::from_str::<T>(payload)
-        .map(Some)
-        .map_err(|e| format!("frame JSON: {e}"))
 }
 
 #[cfg(test)]

@@ -20,7 +20,8 @@
 //! candidates), and a name already at its in-flight cap gets an immediate
 //! `{"ok":false,"shed":true}` instead of queueing behind the hot group.
 //! Cold names never wait on a hot name's backlog, which is what bounds
-//! their tail latency (see the `serve-load` artefact).
+//! their tail latency (pinned by
+//! `tests/serve.rs::admission_sheds_carry_cause_and_retry_hint_and_backoff_recovers`).
 
 use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -38,7 +39,7 @@ use serde::Value;
 
 use crate::checkpoint::CheckpointMeta;
 use crate::fault::FaultInjector;
-use crate::replica::{ReplicaStatus, ReplicationHub};
+use crate::replica::{ReplicaStatus, ReplicationHub, Role};
 use crate::snapshot::EpochStore;
 use crate::state::ServeState;
 use crate::wal::WalRecord;
@@ -220,21 +221,85 @@ pub(crate) struct WorkerCtx {
     pub(crate) replica: Option<ReplicaReadCtx>,
 }
 
-/// A running daemon: accept thread + worker pool + single ingest thread.
+/// The TCP request plane the primary [`Daemon`] and the follower
+/// ([`crate::replica::Follower`]) both serve through: a loopback listener,
+/// one accept thread, and a worker pool over one connection queue, all
+/// answering with the same [`WorkerCtx`].
+#[derive(Debug)]
+pub(crate) struct RequestPlane {
+    addr: SocketAddr,
+    ctx: Arc<WorkerCtx>,
+    accept: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl RequestPlane {
+    /// Bind an ephemeral loopback port and start the accept thread plus
+    /// `workers` (at least one) worker threads over `ctx`.
+    pub(crate) fn spawn(ctx: WorkerCtx, workers: usize) -> std::io::Result<RequestPlane> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let ctx = Arc::new(ctx);
+        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
+        let conn_rx = Arc::new(Mutex::new(conn_rx));
+        let accept = {
+            let shutdown = Arc::clone(&ctx.shutdown);
+            let conn_tx = conn_tx.clone();
+            std::thread::spawn(move || accept_loop(&listener, &conn_tx, &shutdown))
+        };
+        let workers = (0..workers.max(1))
+            .map(|_| {
+                let conn_rx = Arc::clone(&conn_rx);
+                let conn_tx = conn_tx.clone();
+                let ctx = Arc::clone(&ctx);
+                std::thread::spawn(move || worker_loop(&conn_rx, &conn_tx, &ctx))
+            })
+            .collect();
+        Ok(RequestPlane {
+            addr,
+            ctx,
+            accept,
+            workers,
+        })
+    }
+
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    pub(crate) fn store(&self) -> &Arc<EpochStore> {
+        &self.ctx.store
+    }
+
+    pub(crate) fn stats(&self) -> &Arc<DaemonStats> {
+        &self.ctx.stats
+    }
+
+    pub(crate) fn shutdown_requested(&self) -> bool {
+        self.ctx.shutdown.load(Ordering::Relaxed)
+    }
+
+    /// Stop accepting, let the workers drain their in-flight requests, and
+    /// join the accept thread and then every worker.
+    pub(crate) fn shutdown(self) {
+        self.ctx.shutdown.store(true, Ordering::Relaxed);
+        let _ = self.accept.join();
+        for worker in self.workers {
+            let _ = worker.join();
+        }
+    }
+}
+
+/// A running daemon: the request plane plus the single ingest thread.
 ///
 /// Dropping a `Daemon` without calling [`Daemon::shutdown`] leaks the
 /// threads until process exit; always shut down to reclaim the
 /// [`ServeState`] (and with it, a clean WAL tail).
 #[derive(Debug)]
 pub struct Daemon {
-    addr: SocketAddr,
-    store: Arc<EpochStore>,
-    stats: Arc<DaemonStats>,
-    shutdown: Arc<AtomicBool>,
-    accept: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
+    plane: RequestPlane,
     ingest: JoinHandle<ServeState>,
-    ingest_tx: SyncSender<IngestMsg>,
 }
 
 impl std::fmt::Debug for WorkerCtx {
@@ -261,88 +326,54 @@ impl Daemon {
             // Before the first publish, so the startup epoch marker ships.
             state.set_ship(Some(Arc::clone(ship)));
         }
-        let store = Arc::new(EpochStore::new(state.publish()));
-        let stats = Arc::new(DaemonStats::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let admission = Admission::new(cfg.max_inflight_per_name);
-
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
         let (ingest_tx, ingest_rx) = mpsc::sync_channel::<IngestMsg>(cfg.ingest_queue.max(1));
-
+        let plane = RequestPlane::spawn(
+            WorkerCtx {
+                store: Arc::new(EpochStore::new(state.publish())),
+                stats: Arc::default(),
+                admission: Admission::new(cfg.max_inflight_per_name),
+                shutdown: Arc::default(),
+                ingest_tx: Some(ingest_tx),
+                batch: cfg.batch_size.max(1) as u64,
+                ingest_capacity: cfg.ingest_queue.max(1) as u64,
+                faults: cfg.faults.clone(),
+                role: Role::Primary.name(),
+                ship: cfg.ship.clone(),
+                replica: None,
+            },
+            cfg.workers,
+        )?;
         let ingest = {
-            let store = Arc::clone(&store);
-            let stats = Arc::clone(&stats);
+            let store = Arc::clone(plane.store());
+            let stats = Arc::clone(plane.stats());
             let batch = cfg.batch_size.max(1);
             let checkpoint_every = cfg.checkpoint_every;
             std::thread::spawn(move || {
                 ingest_loop(state, &ingest_rx, &store, &stats, batch, checkpoint_every)
             })
         };
-
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let conn_tx = conn_tx.clone();
-            std::thread::spawn(move || accept_loop(&listener, &conn_tx, &shutdown))
-        };
-
-        let mut workers = Vec::with_capacity(cfg.workers.max(1));
-        for _ in 0..cfg.workers.max(1) {
-            let conn_rx = Arc::clone(&conn_rx);
-            let conn_tx = conn_tx.clone();
-            let ctx = WorkerCtx {
-                store: Arc::clone(&store),
-                stats: Arc::clone(&stats),
-                admission: Arc::clone(&admission),
-                shutdown: Arc::clone(&shutdown),
-                ingest_tx: Some(ingest_tx.clone()),
-                batch: cfg.batch_size.max(1) as u64,
-                ingest_capacity: cfg.ingest_queue.max(1) as u64,
-                faults: cfg.faults.clone(),
-                role: "primary",
-                ship: cfg.ship.clone(),
-                replica: None,
-            };
-            workers.push(std::thread::spawn(move || {
-                worker_loop(&conn_rx, &conn_tx, &ctx);
-            }));
-        }
-
-        Ok(Daemon {
-            addr,
-            store,
-            stats,
-            shutdown,
-            accept,
-            workers,
-            ingest,
-            ingest_tx,
-        })
+        Ok(Daemon { plane, ingest })
     }
 
     /// The bound loopback address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.plane.addr()
     }
 
     /// The epoch store (tests read snapshots directly through it).
     pub fn store(&self) -> &Arc<EpochStore> {
-        &self.store
+        self.plane.store()
     }
 
     /// Request-plane counters.
     pub fn stats(&self) -> &Arc<DaemonStats> {
-        &self.stats
+        self.plane.stats()
     }
 
     /// Whether a client requested shutdown over the protocol. A CLI owner
     /// polls this and then calls [`Daemon::shutdown`] to reclaim the state.
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.plane.shutdown_requested()
     }
 
     /// Stop accepting, drain in-flight requests, join every thread, and
@@ -350,21 +381,10 @@ impl Daemon {
     /// papers remain in the state and in the WAL; a warm restart replays
     /// them identically.
     pub fn shutdown(self) -> ServeState {
-        let Daemon {
-            shutdown,
-            accept,
-            workers,
-            ingest,
-            ingest_tx,
-            ..
-        } = self;
-        shutdown.store(true, Ordering::Relaxed);
-        let _ = accept.join();
-        for worker in workers {
-            let _ = worker.join();
-        }
-        drop(ingest_tx); // last sender gone → ingest loop returns the state
-        ingest.join().expect("ingest thread panicked")
+        // The plane holds the last ingest sender; once it is gone the
+        // ingest loop returns the state.
+        self.plane.shutdown();
+        self.ingest.join().expect("ingest thread panicked")
     }
 }
 
@@ -420,11 +440,7 @@ fn ingest_loop(
     state
 }
 
-pub(crate) fn accept_loop(
-    listener: &TcpListener,
-    conn_tx: &mpsc::Sender<TcpStream>,
-    shutdown: &AtomicBool,
-) {
+fn accept_loop(listener: &TcpListener, conn_tx: &mpsc::Sender<TcpStream>, shutdown: &AtomicBool) {
     while !shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -460,7 +476,7 @@ enum ConnState {
 /// Worker body: serve connections off the shared queue, rotating an idle
 /// connection to the back whenever another one is waiting, so clients
 /// beyond the worker count are multiplexed instead of starved.
-pub(crate) fn worker_loop(
+fn worker_loop(
     conn_rx: &Mutex<Receiver<TcpStream>>,
     conn_tx: &mpsc::Sender<TcpStream>,
     ctx: &WorkerCtx,

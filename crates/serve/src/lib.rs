@@ -74,9 +74,7 @@ pub use crash::{run_crash_matrix, CrashCase, CrashReport, CrashSpec};
 pub use daemon::{Daemon, DaemonConfig, DaemonStats};
 pub use fault::{CrashPoint, FaultInjector, SimulatedCrash};
 pub use fingerprint::{fingerprint_hex, partition_fingerprint};
-pub use load::{
-    run_load, run_replica_smoke, run_smoke, LoadReport, LoadSpec, ReplicaSmokeOutcome, SmokeOutcome,
-};
+pub use load::{run_replica_smoke, run_smoke, ReplicaSmokeOutcome, SmokeOutcome};
 pub use replica::{
     run_replica_matrix, Follower, FollowerConfig, ReplicaCase, ReplicaLink, ReplicaReport,
     ReplicaSpec, ReplicaStatus, ReplicationHub, ReplicationServer, Role, SyncFrame,

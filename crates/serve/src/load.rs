@@ -1,18 +1,13 @@
-//! Load shaping and the CI smoke: drive a live daemon over loopback with
-//! a hot-name-skewed query mix plus a concurrent paper stream, and report
-//! shed rates and tail latency split by hot vs cold names.
-//!
-//! Scale-free collaboration networks concentrate mentions on hub names,
-//! so production query traffic is Zipf-shaped too: one hot name can
-//! receive a large fraction of all who-is traffic. [`run_load`] reproduces
-//! that shape deterministically (seeded choice sequence; wall-clock enters
-//! only through latency measurement) and reports what admission control
-//! buys: the hot name sheds, cold names keep a bounded p99.
+//! The serving CI gates: [`run_smoke`] and [`run_replica_smoke`] drive a
+//! live daemon (and, for the replica smoke, two followers) over loopback
+//! with a concurrent paper stream and a mixed query load.
 //!
 //! [`run_smoke`] is the end-to-end gate CI runs on every push: seeded
 //! corpus, live daemon, ≥50 streamed papers with 200 concurrent mixed
 //! queries, zero protocol errors, ≥2 epoch advances, clean shutdown, and
 //! a warm restart from the WAL that reproduces the live state bit for bit.
+//! [`run_replica_smoke`] is the replication gate: the same stream through
+//! a [`FailoverClient`] across a link partition and a primary death.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,69 +24,6 @@ use crate::fault::{splitmix, CrashPoint, FaultInjector};
 use crate::replica::{Follower, FollowerConfig, ReplicationHub, ReplicationServer};
 use crate::state::ServeState;
 use crate::wal::{read_wal, Wal};
-
-/// Shape of a [`run_load`] experiment.
-#[derive(Debug, Clone)]
-pub struct LoadSpec {
-    /// Generator: number of true authors.
-    pub num_authors: usize,
-    /// Generator: number of papers.
-    pub num_papers: usize,
-    /// Master seed (corpus and query-choice sequence derive from it).
-    pub seed: u64,
-    /// Papers held out and streamed while querying.
-    pub stream_tail: usize,
-    /// Total `whois` queries across all threads.
-    pub queries: usize,
-    /// Concurrent query clients.
-    pub query_threads: usize,
-    /// Fraction of queries aimed at the hottest name.
-    pub hot_fraction: f64,
-    /// Daemon knobs under test.
-    pub config: DaemonConfig,
-}
-
-impl Default for LoadSpec {
-    fn default() -> LoadSpec {
-        LoadSpec {
-            num_authors: 200,
-            num_papers: 700,
-            seed: 0x10ad_0001,
-            stream_tail: 60,
-            queries: 600,
-            query_threads: 8,
-            hot_fraction: 0.7,
-            config: DaemonConfig::default(),
-        }
-    }
-}
-
-/// What a load run measured.
-#[derive(Debug, Clone, Serialize)]
-pub struct LoadReport {
-    /// Queries aimed at the hottest name.
-    pub hot_queries: u64,
-    /// Queries aimed at everyone else.
-    pub cold_queries: u64,
-    /// Hot-name queries shed by admission control.
-    pub hot_shed: u64,
-    /// Cold-name queries shed (should stay ~0 — sheds are per name).
-    pub cold_shed: u64,
-    /// Hot-name served latency, microseconds.
-    pub hot_p50_us: u64,
-    /// Hot-name served tail latency, microseconds.
-    pub hot_p99_us: u64,
-    /// Cold-name served latency, microseconds.
-    pub cold_p50_us: u64,
-    /// Cold-name served tail latency, microseconds (the bounded one).
-    pub cold_p99_us: u64,
-    /// Papers streamed in during the run.
-    pub ingested: u64,
-    /// Epochs published by the end of the run.
-    pub final_epoch: u64,
-    /// Daemon-side protocol errors (must be 0).
-    pub errors: u64,
-}
 
 /// What the CI smoke observed. See [`SmokeOutcome::passed`].
 #[derive(Debug, Clone, Serialize)]
@@ -128,14 +60,6 @@ impl SmokeOutcome {
             && self.live_fingerprint == self.replay_fingerprint
             && self.engine_diff.is_none()
     }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn ingest_request(paper: &Paper) -> Value {
@@ -201,126 +125,6 @@ fn whois_request(name: u32) -> Value {
             ("year", Value::U64(2021)),
         ],
     )
-}
-
-/// Run a hot-name-skewed load experiment against a freshly fitted daemon.
-///
-/// # Panics
-/// On daemon spawn or connection failure (loopback networking is assumed
-/// to work wherever this runs).
-pub fn run_load(spec: &LoadSpec) -> LoadReport {
-    let corpus = Corpus::generate(&CorpusConfig {
-        num_authors: spec.num_authors,
-        num_papers: spec.num_papers,
-        seed: spec.seed,
-        ..CorpusConfig::default()
-    });
-    let (base, tail) = corpus.split_tail(spec.stream_tail.min(corpus.papers.len() / 2));
-    let iuad = Iuad::fit(&base, &IuadConfig::default());
-    let daemon =
-        Daemon::spawn(ServeState::new(iuad, None), &spec.config).expect("bind loopback listener");
-    let addr = daemon.addr();
-
-    let ranked = names_by_frequency(&base);
-    let hot = ranked[0];
-    let cold: Vec<u32> = ranked.into_iter().skip(1).collect();
-
-    // (is_hot, served latency in µs or None when shed)
-    let samples: Vec<(bool, Option<u64>)> = std::thread::scope(|scope| {
-        let tail = &tail;
-        let cold = &cold;
-        let ingester = scope.spawn(move || {
-            let mut client = Client::connect(addr).expect("connect ingest client");
-            for (paper, _) in tail {
-                assert!(ingest_with_retry(&mut client, paper), "paper stream failed");
-            }
-        });
-        let threads = spec.query_threads.max(1);
-        let per_thread = spec.queries / threads;
-        let workers: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut rng = spec.seed ^ ((t as u64 + 1) << 32);
-                    let mut out = Vec::with_capacity(per_thread);
-                    let mut client = Client::connect(addr).expect("connect query client");
-                    for _ in 0..per_thread {
-                        let roll = splitmix(&mut rng);
-                        let uniform = (roll >> 11) as f64 / (1u64 << 53) as f64;
-                        let is_hot = cold.is_empty() || uniform < spec.hot_fraction;
-                        let name = if is_hot {
-                            hot
-                        } else {
-                            cold[(roll >> 33) as usize % cold.len()]
-                        };
-                        let request = whois_request(name);
-                        let started = Instant::now();
-                        let response = client.call(&request).expect("whois call failed");
-                        let micros = started.elapsed().as_micros() as u64;
-                        if response_shed(&response) {
-                            out.push((is_hot, None));
-                        } else {
-                            out.push((is_hot, Some(micros)));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        ingester.join().expect("ingest thread panicked");
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("query thread panicked"))
-            .collect()
-    });
-
-    let mut client = Client::connect(addr).expect("connect control client");
-    client
-        .call(&Client::request("flush", vec![]))
-        .expect("flush failed");
-
-    let mut hot_served: Vec<u64> = Vec::new();
-    let mut cold_served: Vec<u64> = Vec::new();
-    let (mut hot_queries, mut cold_queries, mut hot_shed, mut cold_shed) = (0u64, 0u64, 0u64, 0u64);
-    for (is_hot, latency) in samples {
-        match (is_hot, latency) {
-            (true, Some(us)) => {
-                hot_queries += 1;
-                hot_served.push(us);
-            }
-            (true, None) => {
-                hot_queries += 1;
-                hot_shed += 1;
-            }
-            (false, Some(us)) => {
-                cold_queries += 1;
-                cold_served.push(us);
-            }
-            (false, None) => {
-                cold_queries += 1;
-                cold_shed += 1;
-            }
-        }
-    }
-    hot_served.sort_unstable();
-    cold_served.sort_unstable();
-
-    let errors = daemon.stats().errors.load(Ordering::Relaxed);
-    let ingested = daemon.stats().ingested.load(Ordering::Relaxed);
-    let state = daemon.shutdown();
-
-    LoadReport {
-        hot_queries,
-        cold_queries,
-        hot_shed,
-        cold_shed,
-        hot_p50_us: percentile(&hot_served, 0.50),
-        hot_p99_us: percentile(&hot_served, 0.99),
-        cold_p50_us: percentile(&cold_served, 0.50),
-        cold_p99_us: percentile(&cold_served, 0.99),
-        ingested,
-        final_epoch: state.epoch(),
-        errors,
-    }
 }
 
 /// The end-to-end CI smoke (see module docs). Uses a WAL under the OS

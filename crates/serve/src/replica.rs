@@ -41,7 +41,6 @@ use std::collections::VecDeque;
 use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::str;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -50,11 +49,12 @@ use std::time::{Duration, Instant};
 use iuad_corpus::Paper;
 use serde::{Deserialize, Serialize};
 
+use crate::daemon::{Admission, DaemonStats, ReplicaReadCtx, RequestPlane, WorkerCtx};
 use crate::fault::{splitmix, CrashPoint, FaultInjector, SimulatedCrash};
 use crate::read_capped_line;
 use crate::snapshot::EpochStore;
 use crate::state::{RecordOutcome, ServeState};
-use crate::wal::{frame, Wal, WalRecord};
+use crate::wal::{frame, unframe, Wal, WalRecord};
 
 /// Which side of the replication stream a daemon is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,25 +138,6 @@ fn invalid(message: &str) -> std::io::Error {
     std::io::Error::new(ErrorKind::InvalidData, message.to_owned())
 }
 
-/// Decode one complete frame line. A length mismatch (torn ship), bad
-/// UTF-8, or unparseable JSON is an error — the connection is dropped and
-/// the cursor handshake resyncs, mirroring how WAL replay drops a torn
-/// tail.
-fn parse_frame<T: Deserialize>(line: &[u8]) -> std::io::Result<T> {
-    let text = str::from_utf8(line).map_err(|_| invalid("frame is not UTF-8"))?;
-    let (len_str, rest) = text
-        .split_once('\t')
-        .ok_or_else(|| invalid("frame without length prefix"))?;
-    let declared: usize = len_str
-        .parse()
-        .map_err(|_| invalid("malformed frame length"))?;
-    let payload = rest.strip_suffix('\n').unwrap_or(rest);
-    if payload.len() != declared {
-        return Err(invalid("frame shorter than declared (torn ship)"));
-    }
-    serde_json::from_str(payload).map_err(|e| invalid(&format!("frame JSON: {e}")))
-}
-
 /// What one framed read produced.
 enum FrameRead<T> {
     /// A complete, validated frame.
@@ -171,9 +152,11 @@ enum FrameRead<T> {
 /// Read one frame, preserving partial bytes across read timeouts. `buf`
 /// is the caller's accumulator and must persist between calls: a timeout
 /// mid-frame leaves the prefix in `buf`, and the next call appends the
-/// rest. EOF mid-frame is a torn frame and errors (drop the connection),
-/// and so does a frame past [`crate::MAX_LINE_BYTES`], which is never buffered
-/// beyond one byte over the cap.
+/// rest. A frame [`unframe`] rejects — torn ship, EOF mid-frame, bad
+/// UTF-8 or JSON — is an [`ErrorKind::InvalidData`] error (drop the
+/// connection; the cursor handshake resyncs, mirroring how WAL replay
+/// drops a torn tail), and so is a frame past [`crate::MAX_LINE_BYTES`],
+/// which is never buffered beyond one byte over the cap.
 fn read_frame<T: Deserialize>(
     reader: &mut BufReader<TcpStream>,
     buf: &mut Vec<u8>,
@@ -181,10 +164,7 @@ fn read_frame<T: Deserialize>(
     match read_capped_line(reader, buf) {
         Ok(0) if buf.is_empty() => Ok(FrameRead::Closed),
         Ok(_) => {
-            if buf.last() != Some(&b'\n') {
-                return Err(invalid("connection closed mid-frame (torn ship)"));
-            }
-            let parsed = parse_frame(buf)?;
+            let parsed = unframe(buf).map_err(|e| invalid(&e))?;
             buf.clear();
             Ok(FrameRead::Frame(parsed))
         }
@@ -871,12 +851,7 @@ impl Default for FollowerConfig {
 /// [`Follower::shutdown`] leaks its threads until process exit.
 #[derive(Debug)]
 pub struct Follower {
-    addr: SocketAddr,
-    store: Arc<EpochStore>,
-    stats: Arc<crate::daemon::DaemonStats>,
-    shutdown: Arc<AtomicBool>,
-    accept: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
+    plane: RequestPlane,
     link: ReplicaLink,
 }
 
@@ -899,71 +874,41 @@ impl Follower {
             cfg.faults.clone(),
             cfg.reconnect_seed,
         );
-        let stats = Arc::new(crate::daemon::DaemonStats::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let admission = crate::daemon::Admission::new(cfg.max_inflight_per_name);
-
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let (conn_tx, conn_rx) = std::sync::mpsc::channel::<TcpStream>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let conn_tx = conn_tx.clone();
-            std::thread::spawn(move || crate::daemon::accept_loop(&listener, &conn_tx, &shutdown))
-        };
-
-        let mut workers = Vec::with_capacity(cfg.workers.max(1));
-        for _ in 0..cfg.workers.max(1) {
-            let conn_rx = Arc::clone(&conn_rx);
-            let conn_tx = conn_tx.clone();
-            let ctx = crate::daemon::WorkerCtx {
-                store: Arc::clone(&store),
-                stats: Arc::clone(&stats),
-                admission: Arc::clone(&admission),
-                shutdown: Arc::clone(&shutdown),
+        let plane = RequestPlane::spawn(
+            WorkerCtx {
+                store,
+                stats: Arc::default(),
+                admission: Admission::new(cfg.max_inflight_per_name),
+                shutdown: Arc::default(),
                 ingest_tx: None,
                 batch: 1,
                 ingest_capacity: 1,
                 faults: cfg.faults.clone(),
                 role: Role::Follower.name(),
                 ship: None,
-                replica: Some(crate::daemon::ReplicaReadCtx {
+                replica: Some(ReplicaReadCtx {
                     status: Arc::clone(link.status()),
                     max_lag_epochs: cfg.max_lag_epochs,
                 }),
-            };
-            workers.push(std::thread::spawn(move || {
-                crate::daemon::worker_loop(&conn_rx, &conn_tx, &ctx);
-            }));
-        }
-
-        Ok(Follower {
-            addr,
-            store,
-            stats,
-            shutdown,
-            accept,
-            workers,
-            link,
-        })
+            },
+            cfg.workers,
+        )?;
+        Ok(Follower { plane, link })
     }
 
     /// The bound loopback address of the read-only request plane.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.plane.addr()
     }
 
     /// The follower's epoch store (tests read snapshots directly).
     pub fn store(&self) -> &Arc<EpochStore> {
-        &self.store
+        self.plane.store()
     }
 
     /// Request-plane counters (including `shed_replica_lag`).
-    pub fn stats(&self) -> &Arc<crate::daemon::DaemonStats> {
-        &self.stats
+    pub fn stats(&self) -> &Arc<DaemonStats> {
+        self.plane.stats()
     }
 
     /// The replication link's shared status (lag, cursor, connects).
@@ -978,25 +923,14 @@ impl Follower {
 
     /// Whether a client requested shutdown over the protocol.
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.plane.shutdown_requested()
     }
 
     /// Stop serving, stop the replication link, join every thread, and
     /// hand back the replica [`ServeState`].
     pub fn shutdown(self) -> ServeState {
-        let Follower {
-            shutdown,
-            accept,
-            workers,
-            link,
-            ..
-        } = self;
-        shutdown.store(true, Ordering::Relaxed);
-        let _ = accept.join();
-        for worker in workers {
-            let _ = worker.join();
-        }
-        link.shutdown()
+        self.plane.shutdown();
+        self.link.shutdown()
     }
 }
 
@@ -1347,7 +1281,7 @@ mod tests {
     fn frames_roundtrip_and_tears_are_detected() {
         let sync = SyncFrame::sync(17, 3);
         let bytes = frame(&sync).unwrap();
-        let back: SyncFrame = parse_frame(&bytes).unwrap();
+        let back: SyncFrame = unframe(&bytes).unwrap();
         assert_eq!(back.t, "sync");
         assert_eq!(back.cursor, Some(17));
         assert_eq!(back.epoch, Some(3));
@@ -1356,7 +1290,7 @@ mod tests {
         // flush could leave it) fails the declared-length check.
         let mut torn = bytes[..bytes.len() / 2].to_vec();
         torn.push(b'\n');
-        assert!(parse_frame::<SyncFrame>(&torn).is_err());
+        assert!(unframe::<SyncFrame>(&torn).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! the snapshot takes a clone of it, and subsequent decisions score
 //! against the same canonical state.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use iuad_core::{
@@ -413,12 +413,6 @@ impl ServeState {
         state
     }
 
-    /// Replay a WAL file at `path` (see [`ServeState::replay`]).
-    pub fn replay_file(iuad: Iuad, path: &Path) -> std::io::Result<ServeState> {
-        let records = read_wal(path)?;
-        Ok(ServeState::replay(iuad, &records))
-    }
-
     /// Fold the durable history into a new checkpoint and truncate the
     /// WAL to empty. The fold is the previous valid checkpoint's records
     /// plus the current WAL contents (minus the idempotent overlap left by
@@ -435,27 +429,12 @@ impl ServeState {
     /// not reproduce the live counters (a corrupt prior checkpoint — the
     /// checkpoint is refused rather than written wrong).
     pub fn checkpoint(&mut self) -> Result<CheckpointMeta, String> {
-        let wal_path = self
-            .wal
-            .as_ref()
-            .ok_or("checkpoint requires an attached WAL")?
-            .path()
-            .to_path_buf();
+        // A fold that does not describe exactly the live state means the
+        // prior checkpoint lied (or the WAL lost records), and folding
+        // would bake the damage into the new base.
+        let (wal_path, records) = self.checked_history("checkpoint")?;
         let listed = list_checkpoints(&wal_path).map_err(|e| e.to_string())?;
         let next_seq = listed.last().map_or(1, |&(seq, _)| seq + 1);
-        let records = Self::fold_history(&wal_path)?;
-        // The fold must describe exactly the live state; a mismatch means
-        // the prior checkpoint lied (or the WAL lost records) and folding
-        // would bake the damage into the new base.
-        let papers = records.iter().filter(|r| r.t == "paper").count() as u64;
-        let epochs = records.iter().filter(|r| r.t == "epoch").count() as u64;
-        if papers != self.papers_ingested || epochs != self.epoch {
-            return Err(format!(
-                "refusing to checkpoint: fold has {papers} papers / {epochs} epochs \
-                 but the live state has {} / {}",
-                self.papers_ingested, self.epoch
-            ));
-        }
         let meta = CheckpointMeta {
             version: 1,
             seq: next_seq,
@@ -521,10 +500,17 @@ impl ServeState {
     /// reproduce the live counters (history that cannot rebuild this
     /// state must not be shipped to followers).
     pub fn durable_history(&self) -> Result<Vec<WalRecord>, String> {
+        Ok(self.checked_history("durable history")?.1)
+    }
+
+    /// The attached WAL's path and its [`ServeState::fold_history`],
+    /// provided the fold holds exactly as many papers and epoch markers as
+    /// the live state embodies. `what` names the caller in the errors.
+    fn checked_history(&self, what: &str) -> Result<(PathBuf, Vec<WalRecord>), String> {
         let wal_path = self
             .wal
             .as_ref()
-            .ok_or("durable history requires an attached WAL")?
+            .ok_or_else(|| format!("{what} requires an attached WAL"))?
             .path()
             .to_path_buf();
         let records = Self::fold_history(&wal_path)?;
@@ -532,12 +518,12 @@ impl ServeState {
         let epochs = records.iter().filter(|r| r.t == "epoch").count() as u64;
         if papers != self.papers_ingested || epochs != self.epoch {
             return Err(format!(
-                "durable history has {papers} papers / {epochs} epochs but the live \
-                 state has {} / {} — refusing to ship a stream that cannot rebuild it",
+                "{what} refused: the fold has {papers} papers / {epochs} epochs but the \
+                 live state has {} / {}, so it cannot rebuild the state",
                 self.papers_ingested, self.epoch
             ));
         }
-        Ok(records)
+        Ok((wal_path, records))
     }
 
     /// Rebuild the serving state from disk: the recovery state machine.

@@ -2,10 +2,12 @@
 //! assignment decisions, and epoch-publish markers.
 //!
 //! Framing is length-prefixed JSON lines: `LEN<TAB>JSON\n`, where `LEN` is
-//! the byte length of the JSON payload. The prefix makes torn tails
-//! detectable — a record whose payload is shorter than its declared length
-//! (the process died mid-write) is dropped along with everything after it,
-//! instead of being half-parsed.
+//! the byte length of the JSON payload. The prefix and the newline make
+//! torn tails detectable — a record cut anywhere short of its newline (the
+//! process died mid-write) is dropped along with everything after it,
+//! instead of being half-parsed. `frame` and `unframe` are the only
+//! encoder and decoder of the format; checkpoints and the replication
+//! stream use them too.
 //!
 //! Replay applies the *recorded* decisions rather than re-deciding, and
 //! re-publishes at the recorded epoch markers, so a warm restart walks the
@@ -170,13 +172,36 @@ impl WalRecord {
     }
 }
 
-/// Encode one value as a frame: `LEN<TAB>JSON\n`. The WAL and the
-/// replication stream share it, so a torn ship is detected exactly like a
-/// torn log tail.
+/// Encode one value as a frame: `LEN<TAB>JSON\n`. The WAL, checkpoints
+/// and the replication stream share it, so a torn ship is detected exactly
+/// like a torn log tail.
 pub(crate) fn frame<T: Serialize>(value: &T) -> std::io::Result<Vec<u8>> {
     let json = serde_json::to_string(value)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     Ok(format!("{}\t{}\n", json.len(), json).into_bytes())
+}
+
+/// Decode one frame line, strictly: the line must end in its `\n`, be
+/// UTF-8, carry a `LEN<TAB>` prefix whose `LEN` equals the payload's byte
+/// length, and hold JSON that parses as `T`. Anything else — including a
+/// frame complete but for its newline — is an error describing the defect;
+/// each caller decides what a bad frame means for its stream.
+pub(crate) fn unframe<T: Deserialize>(line: &[u8]) -> Result<T, String> {
+    let line = line
+        .strip_suffix(b"\n")
+        .ok_or("frame missing trailing newline")?;
+    let line = str::from_utf8(line).map_err(|_| "frame is not UTF-8".to_owned())?;
+    let (len_str, payload) = line.split_once('\t').ok_or("frame missing length prefix")?;
+    let declared = len_str
+        .parse::<usize>()
+        .map_err(|_| format!("bad length prefix `{len_str}`"))?;
+    if payload.len() != declared {
+        return Err(format!(
+            "frame declares {declared} bytes, carries {}",
+            payload.len()
+        ));
+    }
+    serde_json::from_str(payload).map_err(|e| format!("frame JSON: {e}"))
 }
 
 /// An open write-ahead log. Every append is flushed to the OS before
@@ -300,9 +325,8 @@ impl Wal {
 }
 
 /// Read every intact record of a log. Tolerant of a torn tail: the first
-/// record whose length prefix is malformed, whose payload is shorter than
-/// declared, whose bytes are not UTF-8, or whose JSON fails to parse ends
-/// the replay — everything before it is returned.
+/// line that is not a whole frame (see the module docs) ends the replay —
+/// everything before it is returned.
 pub fn read_wal(path: &Path) -> std::io::Result<Vec<WalRecord>> {
     Ok(scan_wal(path)?.0)
 }
@@ -321,22 +345,9 @@ fn scan_wal(path: &Path) -> std::io::Result<(Vec<WalRecord>, u64)> {
         if n == 0 {
             break;
         }
-        // A tear can land mid-codepoint, so decode per line, tolerantly,
-        // rather than failing the whole read on invalid UTF-8.
-        let Ok(line) = str::from_utf8(&buf) else {
-            break;
-        };
-        let Some((len_str, json)) = line.split_once('\t') else {
-            break; // torn or foreign tail
-        };
-        let Ok(declared) = len_str.parse::<usize>() else {
-            break;
-        };
-        let payload = json.strip_suffix('\n').unwrap_or(json);
-        if payload.len() != declared {
-            break; // the write was cut short
-        }
-        let Ok(record) = serde_json::from_str::<WalRecord>(payload) else {
+        // A tear can land anywhere, even on the newline itself; the
+        // intact prefix ends at the first line that is not a whole frame.
+        let Ok(record) = unframe::<WalRecord>(&buf) else {
             break;
         };
         records.push(record);
@@ -461,6 +472,47 @@ mod tests {
         assert_eq!(records.len(), 2, "torn record dropped, new record kept");
         assert_eq!(records[0].epoch, Some(1));
         assert_eq!(records[1].epoch, Some(2));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A crash can cut a record one byte short: every payload byte on
+    /// disk, the newline not. That record was never acknowledged, so
+    /// replay drops it and reopening truncates it; otherwise the next
+    /// append would glue onto its line and lose itself and every later
+    /// record.
+    #[test]
+    fn tear_before_the_newline_is_dropped_before_append() {
+        let dir = std::env::temp_dir().join("iuad-serve-wal-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn-newline.wal");
+        let record = |id: u32| {
+            WalRecord::paper(
+                sample_paper(id),
+                vec![WalDecision::from_decision(&Decision::NewAuthor { best_score: None }); 2],
+            )
+        };
+        Wal::create(&path).unwrap().append(&record(0)).unwrap();
+        let torn = frame(&record(1)).unwrap();
+        let mut file = File::options().append(true).open(&path).unwrap();
+        file.write_all(&torn[..torn.len() - 1]).unwrap();
+        drop(file);
+        assert_eq!(
+            read_wal(&path).unwrap().len(),
+            1,
+            "unterminated frame is torn"
+        );
+
+        {
+            let mut wal = Wal::append_to(&path).unwrap();
+            wal.append(&record(2)).unwrap();
+            wal.append(&record(3)).unwrap();
+        }
+        let ids: Vec<u32> = read_wal(&path)
+            .unwrap()
+            .iter()
+            .map(|r| r.paper.as_ref().unwrap().id.0)
+            .collect();
+        assert_eq!(ids, vec![0, 2, 3]);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -652,6 +652,17 @@ fn admission_sheds_carry_cause_and_retry_hint_and_backoff_recovers() {
         Some(Value::U64(_))
     ));
 
+    // Admission is per name: with name 3's slot still held, a query for a
+    // cold name is served, not shed (unstalled, so it returns while the
+    // hot holder is still parked).
+    faults.arm_whois_stall(1, 0);
+    let cold = Client::request(
+        "whois",
+        vec![("name", Value::U64(4)), ("year", Value::U64(2005))],
+    );
+    let response = client.call(&cold).expect("cold whois round-trip");
+    assert!(response_ok(&response), "cold name not served: {response:?}");
+
     // The seeded backoff client turns that hint into an eventual success
     // once the stalled holder drains.
     let response = client
