@@ -67,10 +67,11 @@ scale-guard:
 
 # What the CI `scenarios` job runs: the conformance suite in release mode,
 # then regenerate the committed SCENARIOS.json scorecard (schema in
-# README § Testing & scenarios).
+# README § Testing & scenarios) and fail if it changed.
 scenarios:
 	cargo test --release -q --test scenarios
 	cargo run --release -p iuad-bench --bin repro -- scenarios
+	git diff --exit-code SCENARIOS.json
 
 # What the CI `serve-smoke` job runs: the end-to-end serving gate — live
 # daemon on a seeded corpus, ≥50 streamed papers with 200 concurrent

@@ -6,7 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use iuad_core::similarity::{gamma4_time_consistency, gamma6_communities};
-use iuad_core::{CacheScope, ProfileContext, Scn, SimilarityEngine, VertexProfile};
+use iuad_core::{ProfileContext, Scn, SimilarityEngine, VertexProfile};
 use iuad_corpus::{Corpus, CorpusConfig, NameId};
 use iuad_graph::triangles::{triangles_of, triangles_of_csr};
 use iuad_graph::wl::{normalized_kernel, vertex_features, vertex_features_csr, SparseFeatures};
@@ -25,12 +25,10 @@ fn bench_similarity(c: &mut Criterion) {
     let mut group = c.benchmark_group("similarity");
     group.sample_size(15);
     group.bench_function("engine_build", |b| {
-        b.iter(|| {
-            SimilarityEngine::build(black_box(&scn), &ctx, 0.62, 2, CacheScope::AmbiguousOnly)
-        });
+        b.iter(|| SimilarityEngine::build(black_box(&scn), &ctx, 0.62, 2));
     });
 
-    let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+    let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
     // All candidate pairs of the most ambiguous name.
     let vs = scn
         .by_name

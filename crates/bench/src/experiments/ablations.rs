@@ -11,7 +11,7 @@ use iuad_core::gcn::{
     candidate_pair_data, clusters_by_linkage, clusters_from_scores, fit_model, scores_for,
     training_rows, GcnConfig,
 };
-use iuad_core::{CacheScope, Iuad, IuadConfig, ProfileContext, Scn, SimilarityEngine};
+use iuad_core::{Iuad, IuadConfig, ProfileContext, Scn, SimilarityEngine};
 use iuad_corpus::Corpus;
 use iuad_eval::Table;
 use serde::Serialize;
@@ -163,7 +163,7 @@ pub fn run_delta(corpus: &Corpus) -> String {
     eprintln!("ablation-delta: building SCN + caches");
     let scn = Scn::build(corpus, 2);
     let ctx = ProfileContext::build(corpus, 32, 101);
-    let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+    let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
     let data = candidate_pair_data(&scn, &ctx, &engine);
     let cfg = GcnConfig::default();
     let (train, anchors) = training_rows(&data, &scn, &ctx, &engine, &cfg);
@@ -243,7 +243,7 @@ pub fn run_features(corpus: &Corpus) -> String {
     eprintln!("ablation-features: building SCN + caches");
     let scn = Scn::build(corpus, 2);
     let ctx = ProfileContext::build(corpus, 32, 101);
-    let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+    let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
     let data = candidate_pair_data(&scn, &ctx, &engine);
     let cfg = GcnConfig::default();
     let (train, anchors) = training_rows(&data, &scn, &ctx, &engine, &cfg);

@@ -5,7 +5,7 @@
 use iuad_core::gcn::{
     candidate_pair_data, clusters_from_scores, fit_model, scores_for, training_rows, GcnConfig,
 };
-use iuad_core::{CacheScope, ProfileContext, Scn, SimilarityEngine};
+use iuad_core::{ProfileContext, Scn, SimilarityEngine};
 use iuad_corpus::Corpus;
 use iuad_eval::Table;
 use serde::Serialize;
@@ -38,7 +38,7 @@ pub fn run(corpus: &Corpus) -> String {
     eprintln!("fig6: building SCN + similarity caches");
     let scn = Scn::build(corpus, 2);
     let ctx = ProfileContext::build(corpus, 32, 101);
-    let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+    let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
     let data = candidate_pair_data(&scn, &ctx, &engine);
     let cfg = GcnConfig::default();
     let (rows_train, anchors) = training_rows(&data, &scn, &ctx, &engine, &cfg);

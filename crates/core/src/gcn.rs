@@ -585,7 +585,6 @@ pub fn merge_network(corpus: &Corpus, scn: &Scn, cluster_of_vertex: &[usize]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::similarity::CacheScope;
     use iuad_corpus::CorpusConfig;
 
     fn setup() -> (Corpus, Scn, ProfileContext) {
@@ -603,7 +602,7 @@ mod tests {
     #[test]
     fn gcn_reduces_vertex_count_monotonically_in_delta() {
         let (_, scn, ctx) = setup();
-        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let lo = Gcn::build(
             &scn,
             &ctx,
@@ -629,7 +628,7 @@ mod tests {
     #[test]
     fn merges_only_same_name_vertices() {
         let (c, scn, ctx) = setup();
-        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let gcn = Gcn::build(&scn, &ctx, &engine, &GcnConfig::default());
         let (merged, plan) = merge_network(&c, &scn, &gcn.cluster_of_vertex);
         // Coalesced vertices are exactly the clusters of ≥ 2 old vertices,
@@ -651,7 +650,7 @@ mod tests {
     #[test]
     fn assignment_covers_all_mentions() {
         let (c, scn, ctx) = setup();
-        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let gcn = Gcn::build(&scn, &ctx, &engine, &GcnConfig::default());
         let assign = gcn.assignment(&scn);
         assert_eq!(assign.len(), c.num_mentions());
@@ -663,7 +662,7 @@ mod tests {
     #[test]
     fn merged_network_is_consistent() {
         let (c, scn, ctx) = setup();
-        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let gcn = Gcn::build(&scn, &ctx, &engine, &GcnConfig::default());
         let (merged, _) = merge_network(&c, &scn, &gcn.cluster_of_vertex);
         assert_eq!(merged.graph.num_vertices(), gcn.num_clusters);
@@ -676,7 +675,7 @@ mod tests {
     fn gcn_improves_recall_over_scn() {
         use iuad_eval::pairwise_confusion;
         let (c, scn, ctx) = setup();
-        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let gcn = Gcn::build(&scn, &ctx, &engine, &GcnConfig::default());
         let assign = gcn.assignment(&scn);
 
@@ -706,7 +705,7 @@ mod tests {
     #[test]
     fn single_feature_model_fits_and_scores() {
         let (_, scn, ctx) = setup();
-        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let data = candidate_pair_data(&scn, &ctx, &engine);
         let (rows, _anchors) = training_rows(&data, &scn, &ctx, &engine, &GcnConfig::default());
         for f in 0..NUM_SIMILARITIES {
@@ -720,7 +719,7 @@ mod tests {
     #[test]
     fn semi_supervised_uses_labels() {
         let (c, scn, ctx) = setup();
-        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let data = candidate_pair_data(&scn, &ctx, &engine);
         // Label the first 30 candidate pairs with ground truth.
         let majority = |v: iuad_graph::VertexId| -> u32 {
@@ -766,7 +765,7 @@ mod tests {
         };
         let scn = Scn::build(&c, 2);
         let ctx = ProfileContext::build(&c, 8, 1);
-        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let gcn = Gcn::build(&scn, &ctx, &engine, &GcnConfig::default());
         assert!(gcn.model.is_none());
         assert_eq!(gcn.num_clusters, scn.graph.num_vertices());

@@ -85,7 +85,6 @@ impl MentionEvidence {
 /// The decision rule of §V-E over precomputed evidence: arg-max posterior
 /// log-odds across `candidates`, matched only if the best score reaches δ.
 fn decide_with_evidence(
-    network: &Scn,
     ctx: &ProfileContext,
     engine: &SimilarityEngine,
     model: &TwoComponentMixture,
@@ -96,14 +95,8 @@ fn decide_with_evidence(
     let features: Vec<usize> = (0..NUM_SIMILARITIES).collect();
     let mut best: Option<(VertexId, f64)> = None;
     for &v in candidates {
-        let gamma = engine.similarity_against(
-            network,
-            ctx,
-            &evidence.profile,
-            &evidence.wl,
-            &evidence.tris,
-            v,
-        );
+        let gamma =
+            engine.similarity_against(ctx, &evidence.profile, &evidence.wl, &evidence.tris, v);
         let projected: Vec<f64> = features.iter().map(|&f| gamma[f]).collect();
         let score = model.log_odds(&projected);
         if best.is_none_or(|(_, s)| score > s) {
@@ -137,7 +130,7 @@ pub fn disambiguate_mention(
         return Decision::NewAuthor { best_score: None };
     };
     let evidence = MentionEvidence::gather(ctx, engine, paper, slot);
-    decide_with_evidence(network, ctx, engine, model, delta, &evidence, candidates)
+    decide_with_evidence(ctx, engine, model, delta, &evidence, candidates)
 }
 
 /// Fold a decided mention into `network` and `engine` without refitting:
@@ -194,7 +187,7 @@ pub fn ingest_paper(
             let evidence = MentionEvidence::gather(ctx, engine, paper, slot);
             let decision = match (model, network.by_name.get(&name)) {
                 (Some(model), Some(candidates)) => {
-                    decide_with_evidence(network, ctx, engine, model, delta, &evidence, candidates)
+                    decide_with_evidence(ctx, engine, model, delta, &evidence, candidates)
                 }
                 _ => Decision::NewAuthor { best_score: None },
             };
@@ -227,7 +220,6 @@ pub fn disambiguate_paper(
 mod tests {
     use super::*;
     use crate::gcn::{merge_network, Gcn, GcnConfig};
-    use crate::similarity::CacheScope;
     use iuad_corpus::{Corpus, CorpusConfig};
 
     struct Fixture {
@@ -249,11 +241,10 @@ mod tests {
         let (base, held_out) = full.split_tail(60);
         let scn = Scn::build(&base, 2);
         let ctx = ProfileContext::build(&base, 16, 5);
-        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let gcn = Gcn::build(&scn, &ctx, &engine, &GcnConfig::default());
         let (network, _) = merge_network(&base, &scn, &gcn.cluster_of_vertex);
-        let net_engine =
-            SimilarityEngine::build(&network, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let net_engine = SimilarityEngine::build(&network, &ctx, 0.62, 2);
         Fixture {
             corpus: base,
             network,

@@ -101,7 +101,7 @@ impl Iuad {
                 &ctx,
                 config.alpha,
                 config.wl_iters,
-                CacheScope::AmbiguousOnly,
+                CacheScope::All,
                 par,
             )
         });
@@ -126,7 +126,7 @@ impl Iuad {
                 &ctx,
                 config.alpha,
                 config.wl_iters,
-                CacheScope::AmbiguousOnly,
+                CacheScope::All,
                 par,
             )
         });

@@ -134,8 +134,8 @@ impl ProfileContext {
     }
 
     /// [`ProfileContext::build_parallel`] plus the SGNS sub-stage timing
-    /// breakdown (consumed by the pipeline benchmark's schema_version-3
-    /// rows).
+    /// breakdown ([`crate::Iuad::fit`] records it as the `sgns_vocab_build`,
+    /// `sgns_sampler_build` and `sgns_epoch_loop` stage rows).
     pub fn build_with_stats(
         corpus: &Corpus,
         embedding_dim: usize,

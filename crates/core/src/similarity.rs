@@ -25,7 +25,7 @@
 //! engine's caches are dense `Vec` slabs indexed by vertex id, so a
 //! candidate-pair evaluation performs no hash lookups at all.
 
-use iuad_graph::triangles::{triangles_of, triangles_of_csr};
+use iuad_graph::triangles::triangles_of_csr;
 use iuad_graph::wl::{normalized_kernel, vertex_features, vertex_features_csr, SparseFeatures};
 use iuad_graph::{Csr, VertexId};
 use iuad_mixture::Family;
@@ -51,13 +51,16 @@ pub const FAMILIES: [Family; NUM_SIMILARITIES] = [
 /// A γ-vector for one candidate pair.
 pub type SimilarityVector = [f64; NUM_SIMILARITIES];
 
-/// Which vertices to pre-cache structural features for.
+/// Which vertices to pre-cache structural features for — retired: every
+/// engine caches every vertex, and [`SimilarityEngine::build_parallel`]
+/// and [`SimilarityEngine::derive`] ignore this argument. It survives only
+/// because the repository benchmark passes `AmbiguousOnly`; it goes with
+/// the `derive` shim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheScope {
-    /// Only vertices of names with ≥ 2 vertices (all Stage-2 candidates).
+    /// Caches every vertex, like `All`.
     AmbiguousOnly,
-    /// Every vertex (needed when arbitrary names can be queried, e.g. the
-    /// incremental setting).
+    /// Every vertex.
     All,
 }
 
@@ -67,16 +70,18 @@ pub enum CacheScope {
 /// alongside the network it was built from; methods take the graph/context
 /// by reference where needed.
 ///
-/// The structural caches are index-addressed slabs parallel to `profiles`:
-/// `wl[v] == None` / `tris[v] == None` means the vertex is out of cache
-/// scope or was founded by [`SimilarityEngine::absorb`] since the last
-/// [`SimilarityEngine::refresh`]. Absorbing adds no edge, so a cached
-/// vertex's structural features never go stale.
+/// The engine is total: profiles, WL features and name triangles are
+/// index-addressed slabs parallel to `profiles` with an entry for *every*
+/// vertex, so any vertex a query can name is answered from cache (§V-E
+/// judges a new mention against every vertex of its name). A vertex
+/// founded by [`SimilarityEngine::absorb`] is isolated, because absorbing
+/// adds no edge, so it gets the isolated-vertex features a rebuild would
+/// compute, and no cached vertex's structural features ever go stale.
 #[derive(Debug, Clone)]
 pub struct SimilarityEngine {
     profiles: Vec<VertexProfile>,
-    wl: Vec<Option<SparseFeatures>>,
-    tris: Vec<Option<Vec<(u32, u32)>>>,
+    wl: Vec<SparseFeatures>,
+    tris: Vec<Vec<(u32, u32)>>,
     /// Group-filtered pair evidence parallel to `profiles`; `None` falls
     /// back to the full per-vertex evidence (see [`JoinEvidence`]).
     join: Vec<Option<JoinEvidence>>,
@@ -282,7 +287,7 @@ fn intersect_sorted<T: Ord + Copy>(items: &[T], keep: &[T]) -> Vec<T> {
 /// vertex's [`JoinEvidence`] (cached same-name pair path) or its full
 /// profile-backed evidence (fallback and ad-hoc paths).
 struct Side<'a> {
-    wl: Option<&'a SparseFeatures>,
+    wl: &'a SparseFeatures,
     tris: &'a [(u32, u32)],
     kw: &'a KeywordYears,
     venues: &'a VenueCounts,
@@ -290,37 +295,53 @@ struct Side<'a> {
     cnorm: f64,
 }
 
-impl SimilarityEngine {
-    /// Build the engine, caching profiles for every vertex and structural
-    /// features per `scope`. Fully sequential; see [`Self::build_parallel`].
-    pub fn build(
-        scn: &Scn,
-        ctx: &ProfileContext,
-        alpha: f64,
-        wl_iters: usize,
-        scope: CacheScope,
+impl<'a> Side<'a> {
+    /// The full (unfiltered) evidence of `profile` with its structural
+    /// features; `cnorm` is its keyword-centroid norm.
+    fn full(
+        profile: &'a VertexProfile,
+        wl: &'a SparseFeatures,
+        tris: &'a [(u32, u32)],
+        cnorm: f64,
     ) -> Self {
+        Side {
+            wl,
+            tris,
+            kw: &profile.keyword_years,
+            venues: &profile.venue_counts,
+            profile,
+            cnorm,
+        }
+    }
+}
+
+impl SimilarityEngine {
+    /// Build the engine over every vertex. Fully sequential; see
+    /// [`Self::build_parallel`].
+    pub fn build(scn: &Scn, ctx: &ProfileContext, alpha: f64, wl_iters: usize) -> Self {
         Self::build_parallel(
             scn,
             ctx,
             alpha,
             wl_iters,
-            scope,
+            CacheScope::All,
             &ParallelConfig::sequential(),
         )
     }
 
-    /// Build the engine, fanning the per-vertex profile and structural
-    /// feature extraction (the WL and triangle kernels — the O(n·deg²) hot
-    /// path of engine construction) across `par.threads` workers. Every
-    /// cached feature is a pure function of the network, so the result is
-    /// identical at any thread count.
+    /// Build the engine, caching the profile, WL features and name
+    /// triangles of every vertex, with the per-vertex extraction (the WL
+    /// and triangle kernels — the O(n·deg²) hot path of engine
+    /// construction) fanned across `par.threads` workers. Every cached
+    /// feature is a pure function of the network, so the result is
+    /// identical at any thread count. `_scope` is ignored (see
+    /// [`CacheScope`]).
     pub fn build_parallel(
         scn: &Scn,
         ctx: &ProfileContext,
         alpha: f64,
         wl_iters: usize,
-        scope: CacheScope,
+        _scope: CacheScope,
         par: &ParallelConfig,
     ) -> Self {
         let verts: Vec<VertexId> = scn.graph.vertices().map(|(v, _)| v).collect();
@@ -328,7 +349,6 @@ impl SimilarityEngine {
             let payload = scn.graph.vertex(v);
             VertexProfile::from_mentions(payload.name, &payload.mentions, ctx)
         });
-        let n = profiles.len();
         let cnorm: Vec<f64> = profiles
             .iter()
             .map(|p| iuad_text::norm(&p.keyword_centroid))
@@ -336,10 +356,37 @@ impl SimilarityEngine {
         let g4_exp: Vec<f64> = (0..GAMMA4_TABLE_LEN)
             .map(|g| (-alpha * g as f64).exp())
             .collect();
+
+        // Structural extraction walks a frozen CSR snapshot — sorted
+        // contiguous neighbour slices instead of per-vertex hash maps, the
+        // layout that matters on scale-free hubs, where WL balls and
+        // triangle intersections concentrate — region by region (see
+        // [`reorder_by_bfs`]); placement is positional by vertex id.
+        let csr = scn.csr();
+        let names: Vec<u64> = scn
+            .graph
+            .vertices()
+            .map(|(_, p)| u64::from(p.name.0))
+            .collect();
+        let mut order = verts;
+        reorder_by_bfs(&csr, &mut order);
+        let features = iuad_par::parallel_map(par, &order, |&v| {
+            (
+                Self::wl_of_csr(&csr, &names, v, wl_iters),
+                Self::name_triangles_csr(&csr, scn, v),
+            )
+        });
+        let n = profiles.len();
+        let mut wl = vec![SparseFeatures::default(); n];
+        let mut tris = vec![Vec::new(); n];
+        for (&v, (w, t)) in order.iter().zip(features) {
+            wl[v.index()] = w;
+            tris[v.index()] = t;
+        }
         let mut engine = SimilarityEngine {
             profiles,
-            wl: vec![None; n],
-            tris: vec![None; n],
+            wl,
+            tris,
             join: vec![None; n],
             join_groups: rustc_hash::FxHashMap::default(),
             cnorm,
@@ -347,24 +394,6 @@ impl SimilarityEngine {
             alpha,
             wl_iters,
         };
-
-        let mut scoped: Vec<VertexId> = match scope {
-            CacheScope::AmbiguousOnly => scn
-                .by_name
-                .values()
-                .filter(|vs| vs.len() >= 2)
-                .flatten()
-                .copied()
-                .collect(),
-            CacheScope::All => verts,
-        };
-        scoped.sort_unstable();
-        scoped.dedup();
-        // Structural extraction walks a frozen CSR snapshot: sorted
-        // contiguous neighbour slices instead of per-vertex hash maps — the
-        // layout that matters on scale-free hubs, where WL balls and
-        // triangle intersections concentrate.
-        engine.extract_structural(scn, &scn.csr(), scoped, par);
         // Groups of 2 carry no join evidence (see
         // [`JOIN_EVIDENCE_MIN_GROUP`]).
         let groups: Vec<&[VertexId]> = scn
@@ -377,35 +406,6 @@ impl SimilarityEngine {
         engine
     }
 
-    /// Cache WL features and name triangles for `vertices`, extracted over
-    /// `csr` (the frozen snapshot of `network`) region by region — see
-    /// [`reorder_by_bfs`]; placement is positional by vertex id.
-    fn extract_structural(
-        &mut self,
-        network: &Scn,
-        csr: &Csr,
-        mut vertices: Vec<VertexId>,
-        par: &ParallelConfig,
-    ) {
-        let names: Vec<u64> = network
-            .graph
-            .vertices()
-            .map(|(_, p)| u64::from(p.name.0))
-            .collect();
-        reorder_by_bfs(csr, &mut vertices);
-        let wl_iters = self.wl_iters;
-        let features = iuad_par::parallel_map(par, &vertices, |&v| {
-            (
-                Self::wl_of_csr(csr, &names, v, wl_iters),
-                Self::name_triangles_csr(csr, network, v),
-            )
-        });
-        for (&v, (w, t)) in vertices.iter().zip(features) {
-            self.wl[v.index()] = Some(w);
-            self.tris[v.index()] = Some(t);
-        }
-    }
-
     /// Build [`JoinEvidence`] for every member of each name group in
     /// `groups` (see its docs for why this is exact), fanned across workers
     /// — groups are independent — and record each group's membership.
@@ -415,15 +415,14 @@ impl SimilarityEngine {
         });
         for (vs, evidence) in groups.iter().zip(evidence) {
             for (&v, e) in vs.iter().zip(evidence) {
-                self.join[v.index()] = e;
+                self.join[v.index()] = Some(e);
             }
             let name = self.profiles[vs[0].index()].name;
             self.join_groups.insert(name, vs.to_vec());
         }
     }
 
-    /// [`JoinEvidence`] for every member of one name group, in `vs` order
-    /// (`None` for members without cached structural features).
+    /// [`JoinEvidence`] for every member of one name group, in `vs` order.
     ///
     /// Every per-member item list (WL labels, triangles, keywords, venues)
     /// is already sorted and duplicate-free, so "occurs in ≥ 2 members" is
@@ -432,22 +431,16 @@ impl SimilarityEngine {
     /// cursor — no hash map touches the evidence path.
     fn group_join_evidence(
         vs: &[VertexId],
-        wl: &[Option<SparseFeatures>],
-        tris: &[Option<Vec<(u32, u32)>>],
+        wl: &[SparseFeatures],
+        tris: &[Vec<(u32, u32)>],
         profiles: &[VertexProfile],
-    ) -> Vec<Option<JoinEvidence>> {
-        let label_lists: Vec<&[u64]> = vs
-            .iter()
-            .filter_map(|&v| wl[v.index()].as_ref())
-            .map(SparseFeatures::labels)
-            .collect();
+    ) -> Vec<JoinEvidence> {
+        let label_lists: Vec<&[u64]> = vs.iter().map(|&v| wl[v.index()].labels()).collect();
         let shared_labels: Vec<u64> = shared_sorted_lists(&label_lists);
-        // `name_triangles` dedups, so each triangle occurs once per member
-        // — a shared-set hit really means "held by ≥ 2 vertices".
-        let tri_lists: Vec<&[(u32, u32)]> = vs
-            .iter()
-            .filter_map(|&v| tris[v.index()].as_deref())
-            .collect();
+        // `name_triangles_csr` dedups, so each triangle occurs once per
+        // member — a shared-set hit really means "held by ≥ 2 vertices".
+        let tri_lists: Vec<&[(u32, u32)]> =
+            vs.iter().map(|&v| tris[v.index()].as_slice()).collect();
         let shared_tris: Vec<(u32, u32)> = shared_sorted_lists(&tri_lists);
         let word_lists: Vec<&[u32]> = vs
             .iter()
@@ -463,23 +456,21 @@ impl SimilarityEngine {
 
         vs.iter()
             .map(|&v| {
-                let (Some(f), Some(t)) = (&wl[v.index()], &tris[v.index()]) else {
-                    return None;
-                };
                 let p = &profiles[v.index()];
-                Some(JoinEvidence {
-                    wl: f.intersect_labels(&shared_labels),
-                    tris: intersect_sorted(t, &shared_tris),
+                JoinEvidence {
+                    wl: wl[v.index()].intersect_labels(&shared_labels),
+                    tris: intersect_sorted(&tris[v.index()], &shared_tris),
                     kw: p.keyword_years.intersect_words(&shared_words),
                     venues: p.venue_counts.intersect_venues(&shared_venues),
-                })
+                }
             })
             .collect()
     }
 
     /// The engine for a merged `network`: drops the pre-merge engine `old`
     /// (so two engines are never live at once) and runs a full
-    /// [`Self::build_parallel`] at `old`'s α and `h`; `plan` is unused.
+    /// [`Self::build_parallel`] at `old`'s α and `h`; `plan` and `scope`
+    /// are unused.
     ///
     /// This once carried profiles, structural caches and join evidence
     /// across the Stage-2 merge. That stopped paying: about half the
@@ -493,46 +484,46 @@ impl SimilarityEngine {
         _plan: &crate::gcn::MergePlan,
         network: &Scn,
         ctx: &ProfileContext,
-        scope: CacheScope,
+        _scope: CacheScope,
         par: &ParallelConfig,
     ) -> SimilarityEngine {
         let (alpha, wl_iters) = (old.alpha, old.wl_iters);
         drop(old);
-        Self::build_parallel(network, ctx, alpha, wl_iters, scope, par)
+        Self::build_parallel(network, ctx, alpha, wl_iters, CacheScope::All, par)
     }
 
     /// Bring an absorbed-into engine back to canonical state in place: the
     /// serving tier's epoch publish. `touched` lists the vertices absorbed
     /// into since the engine was last canonical (any order, duplicates
-    /// allowed); `network` is the live network they were absorbed into and
-    /// `csr` its frozen snapshot. Afterwards the engine is bit-identical to
-    /// [`Self::build_parallel`] over `network` at [`CacheScope::All`]
-    /// (pinned per scenario by the `publish-matches-rebuild` invariant).
+    /// allowed); `network` is the live network they were absorbed into.
+    /// Afterwards the engine is bit-identical to [`Self::build_parallel`]
+    /// over `network` (pinned per scenario by the `publish-matches-rebuild`
+    /// invariant).
     ///
-    /// Streaming adds mentions and vertices but never an edge, so only
-    /// three things can differ from a rebuild, and each is recomputed:
+    /// Streaming adds mentions and vertices but never an edge, so every
+    /// vertex's WL features and triangles already equal a rebuild's (a
+    /// founded vertex got its isolated-vertex features at
+    /// [`Self::absorb`]). Only two things can differ, and each is
+    /// recomputed:
     ///
     /// * **Profiles** of touched vertices are rebuilt from their mentions.
     ///   [`Self::absorb`] merges profiles ([`VertexProfile::merge`]), whose
     ///   mass-weighted centroid drifts f32 bits from a from-scratch build.
     ///   No other vertex gained a mention.
-    /// * **WL features and triangles** are computed for every vertex with
-    ///   no cache: vertices founded since the last publish, and — on the
-    ///   first publish over a fitted [`CacheScope::AmbiguousOnly`] engine —
-    ///   every singleton name. A founded vertex has no edge, so it lies in
-    ///   no other vertex's ball.
     /// * **Join evidence** is rebuilt in full for groups of ≥ 3 whose entry
     ///   [`Self::absorb`] dropped or that reached 3 members since.
     pub fn refresh(
         &mut self,
         touched: &[VertexId],
         network: &Scn,
-        csr: &Csr,
         ctx: &ProfileContext,
         par: &ParallelConfig,
     ) {
-        let n = network.graph.num_vertices();
-        assert_eq!(self.profiles.len(), n, "engine and network out of step");
+        assert_eq!(
+            self.profiles.len(),
+            network.graph.num_vertices(),
+            "engine and network out of step"
+        );
         let mut touched = touched.to_vec();
         touched.sort_unstable();
         touched.dedup();
@@ -544,12 +535,6 @@ impl SimilarityEngine {
             self.cnorm[v.index()] = iuad_text::norm(&p.keyword_centroid);
             self.profiles[v.index()] = p;
         }
-
-        let uncached: Vec<VertexId> = (0..n)
-            .filter(|&i| self.wl[i].is_none())
-            .map(VertexId::from)
-            .collect();
-        self.extract_structural(network, csr, uncached, par);
 
         let stale: Vec<&[VertexId]> = network
             .by_name
@@ -595,12 +580,7 @@ impl SimilarityEngine {
             if self.cnorm[i].to_bits() != other.cnorm[i].to_bits() {
                 return Some(format!("centroid norm differs at vertex {i}"));
             }
-            let wl_eq = match (&self.wl[i], &other.wl[i]) {
-                (Some(a), Some(b)) => sparse_eq(a, b),
-                (None, None) => true,
-                _ => false,
-            };
-            if !wl_eq {
+            if !sparse_eq(&self.wl[i], &other.wl[i]) {
                 return Some(format!("WL features differ at vertex {i}"));
             }
             if self.tris[i] != other.tris[i] {
@@ -634,56 +614,30 @@ impl SimilarityEngine {
         let cnorm = self.cnorm[v.index()];
         match &self.join[v.index()] {
             Some(j) => Side {
-                wl: Some(&j.wl),
+                wl: &j.wl,
                 tris: &j.tris,
                 kw: &j.kw,
                 venues: &j.venues,
                 profile,
                 cnorm,
             },
-            None => Side {
-                wl: self.wl[v.index()].as_ref(),
-                tris: self.tris[v.index()].as_deref().unwrap_or(&[]),
-                kw: &profile.keyword_years,
-                venues: &profile.venue_counts,
-                profile,
-                cnorm,
-            },
+            None => Side::full(profile, &self.wl[v.index()], &self.tris[v.index()], cnorm),
         }
     }
 
-    /// WL features via the graph's hash adjacency — the ad-hoc path for
-    /// single cache misses, where freezing a CSR snapshot would cost more
-    /// than the query. Bit-identical to [`Self::wl_of_csr`].
-    fn wl_of(scn: &Scn, v: VertexId, wl_iters: usize) -> SparseFeatures {
-        vertex_features(&scn.graph, v, wl_iters, |w| {
-            scn.graph.vertex(w).name.0 as u64
-        })
-    }
-
-    /// WL features via a frozen [`Csr`] snapshot — the bulk engine-build
-    /// path. `names` is the per-vertex name-label slab (one contiguous
-    /// lookup instead of a payload dereference per ball member).
+    /// WL features via a frozen [`Csr`] snapshot. `names` is the per-vertex
+    /// name-label slab (one contiguous lookup instead of a payload
+    /// dereference per ball member).
     fn wl_of_csr(csr: &Csr, names: &[u64], v: VertexId, wl_iters: usize) -> SparseFeatures {
         vertex_features_csr(csr, v, wl_iters, |w| names[w.index()])
     }
 
-    /// Triangles through `v` as sorted co-member *name* pairs (names, not
-    /// vertex ids, so that structurally parallel cliques coincide). Hash
-    /// adjacency; the single-miss counterpart of
-    /// [`Self::name_triangles_csr`].
-    fn name_triangles(scn: &Scn, v: VertexId) -> Vec<(u32, u32)> {
-        Self::to_name_pairs(scn, triangles_of(&scn.graph, v))
-    }
-
-    /// [`Self::name_triangles`] via a frozen [`Csr`] snapshot — sorted-merge
-    /// neighbour intersection instead of per-pair hash probes.
+    /// Triangles through `v` as sorted, deduplicated co-member *name* pairs
+    /// (names, not vertex ids, so that structurally parallel cliques
+    /// coincide), via sorted-merge neighbour intersection over a frozen
+    /// [`Csr`] snapshot.
     fn name_triangles_csr(csr: &Csr, scn: &Scn, v: VertexId) -> Vec<(u32, u32)> {
-        Self::to_name_pairs(scn, triangles_of_csr(csr, v))
-    }
-
-    fn to_name_pairs(scn: &Scn, tris: Vec<(VertexId, VertexId)>) -> Vec<(u32, u32)> {
-        let mut out: Vec<(u32, u32)> = tris
+        let mut out: Vec<(u32, u32)> = triangles_of_csr(csr, v)
             .into_iter()
             .map(|(x, y)| {
                 let nx = scn.graph.vertex(x).name.0;
@@ -695,7 +649,6 @@ impl SimilarityEngine {
         out.dedup();
         out
     }
-
     /// The cached profile of a vertex.
     pub fn profile(&self, v: VertexId) -> &VertexProfile {
         &self.profiles[v.index()]
@@ -714,9 +667,10 @@ impl SimilarityEngine {
     /// Absorb a new mention's profile into the cache: merge into vertex
     /// `v`'s profile, or append when `v` is a vertex created after the
     /// engine was built. An absorbed mention adds no edge, so an existing
-    /// vertex keeps its structural caches (WL, triangles); a new vertex
-    /// starts without them, computed on demand by
-    /// [`Self::similarity_against`] until [`Self::refresh`] fills them.
+    /// vertex keeps its structural caches (WL, triangles), and a new vertex
+    /// is isolated: it gets the features of a lone vertex of its name
+    /// (`star_features(name, &[])`) and no triangles — exactly what a
+    /// rebuild computes for it.
     pub fn absorb(&mut self, v: VertexId, delta: &VertexProfile) {
         if v.index() < self.profiles.len() {
             self.profiles[v.index()].merge(delta);
@@ -726,13 +680,13 @@ impl SimilarityEngine {
                 self.profiles.len(),
                 "vertices must be absorbed in creation order"
             );
+            // Slabs stay parallel to `profiles`.
+            self.wl.push(self.star_features(delta.name.0, &[]));
+            self.tris.push(Vec::new());
+            self.join.push(None);
+            self.cnorm.push(0.0);
             self.profiles.push(delta.clone());
         }
-        // Slabs stay parallel to `profiles`.
-        self.wl.resize(self.profiles.len(), None);
-        self.tris.resize(self.profiles.len(), None);
-        self.join.resize(self.profiles.len(), None);
-        self.cnorm.resize(self.profiles.len(), 0.0);
         self.cnorm[v.index()] = iuad_text::norm(&self.profiles[v.index()].keyword_centroid);
         // The group-filtered evidence basis of `v`'s whole name group is
         // stale: `v`'s new items could match items the filter dropped from
@@ -746,17 +700,13 @@ impl SimilarityEngine {
         }
     }
 
-    /// γ-vector between two *same-name* vertices (both must be in cache
-    /// scope; γ₁ is computed over the name group's shared label basis, so
-    /// cross-name queries would see a zero kernel).
+    /// γ-vector between two *same-name* vertices (γ₁ is computed over the
+    /// name group's shared label basis, so cross-name queries would see a
+    /// zero kernel).
     pub fn similarity(&self, ctx: &ProfileContext, vi: VertexId, vj: VertexId) -> SimilarityVector {
         let si = self.side(vi);
         let sj = self.side(vj);
-        let g1 = match (si.wl, sj.wl) {
-            (Some(a), Some(b)) => normalized_kernel(a, b),
-            _ => 0.0,
-        };
-        self.assemble(ctx, g1, &si, &sj)
+        self.assemble(ctx, normalized_kernel(si.wl, sj.wl), &si, &sj)
     }
 
     /// γ-vectors for every unordered pair of `vs` (the `i < j` pairs of the
@@ -784,10 +734,7 @@ impl SimilarityEngine {
         let mut head: rustc_hash::FxHashMap<u64, u32> = rustc_hash::FxHashMap::default();
         let mut arena: Vec<(u32, u32, u32)> = Vec::new();
         for (j, s) in sides.iter().enumerate() {
-            let Some(f) = s.wl else {
-                continue;
-            };
-            for (l, c) in f.iter() {
+            for (l, c) in s.wl.iter() {
                 let slot = head.entry(l).or_insert(0);
                 let mut cur = *slot;
                 while cur != 0 {
@@ -803,11 +750,11 @@ impl SimilarityEngine {
         let mut out = Vec::with_capacity(dots.len());
         for i in 0..k {
             for j in (i + 1)..k {
-                let g1 = match (sides[i].wl, sides[j].wl) {
-                    (Some(fa), Some(fb)) if fa.norm() != 0.0 && fb.norm() != 0.0 => {
-                        (dots[tri(i, j)] / (fa.norm() * fb.norm())).clamp(0.0, 1.0)
-                    }
-                    _ => 0.0,
+                let (fa, fb) = (sides[i].wl, sides[j].wl);
+                let g1 = if fa.norm() != 0.0 && fb.norm() != 0.0 {
+                    (dots[tri(i, j)] / (fa.norm() * fb.norm())).clamp(0.0, 1.0)
+                } else {
+                    0.0
                 };
                 // Orient like `similarity(min, max)` does.
                 let (lo, hi) = if vs[i] <= vs[j] { (i, j) } else { (j, i) };
@@ -819,50 +766,22 @@ impl SimilarityEngine {
 
     /// γ-vector between an ad-hoc profile (e.g. a new paper in the
     /// incremental setting) and an existing vertex. The caller supplies the
-    /// ad-hoc side's WL features and name-level triangles; `scn` enables
-    /// on-demand structural features for out-of-scope vertices.
+    /// ad-hoc side's WL features and name-level triangles.
     pub fn similarity_against(
         &self,
-        scn: &Scn,
         ctx: &ProfileContext,
         new_profile: &VertexProfile,
         new_wl: &SparseFeatures,
         new_tris: &[(u32, u32)],
         vj: VertexId,
     ) -> SimilarityVector {
-        let pj = &self.profiles[vj.index()];
-        let g1 = match &self.wl[vj.index()] {
-            Some(b) => normalized_kernel(new_wl, b),
-            None => normalized_kernel(new_wl, &Self::wl_of(scn, vj, self.wl_iters)),
-        };
-        // Cached triangles are borrowed; only a cache miss materialises.
         // Both sides use *full* evidence: the ad-hoc profile is outside the
         // group basis the join filter was computed against.
-        let computed;
-        let tj: &[(u32, u32)] = match &self.tris[vj.index()] {
-            Some(t) => t,
-            None => {
-                computed = Self::name_triangles(scn, vj);
-                &computed
-            }
-        };
-        let si = Side {
-            wl: None,
-            tris: new_tris,
-            kw: &new_profile.keyword_years,
-            venues: &new_profile.venue_counts,
-            profile: new_profile,
-            cnorm: iuad_text::norm(&new_profile.keyword_centroid),
-        };
-        let sj = Side {
-            wl: None,
-            tris: tj,
-            kw: &pj.keyword_years,
-            venues: &pj.venue_counts,
-            profile: pj,
-            cnorm: self.cnorm[vj.index()],
-        };
-        self.assemble(ctx, g1, &si, &sj)
+        let cnorm = iuad_text::norm(&new_profile.keyword_centroid);
+        let si = Side::full(new_profile, new_wl, new_tris, cnorm);
+        let j = vj.index();
+        let sj = Side::full(&self.profiles[j], &self.wl[j], &self.tris[j], self.cnorm[j]);
+        self.assemble(ctx, normalized_kernel(si.wl, sj.wl), &si, &sj)
     }
 
     /// Synthetic matched pair from splitting one vertex in half (§V-F2, the
@@ -870,7 +789,8 @@ impl SimilarityEngine {
     /// with fewer than 4 papers.
     ///
     /// Structural approximation: both halves share the vertex's position in
-    /// the network, so γ₁ is the self-kernel (1.0 when features exist) and
+    /// the network, so γ₁ is the self-kernel (1.0 unless the features are
+    /// empty) and
     /// γ₂ is the full clique overlap against the half-τ.
     pub fn synthetic_split_vector(
         &self,
@@ -892,23 +812,14 @@ impl SimilarityEngine {
         let name = scn.graph.vertex(v).name;
         let pa = VertexProfile::from_mention_indices(name, mentions, idx_a, ctx);
         let pb = VertexProfile::from_mention_indices(name, mentions, idx_b, ctx);
-        let wl_nonempty = self.wl[v.index()].as_ref().is_some_and(|f| !f.is_empty());
-        let g1 = if wl_nonempty { 1.0 } else { 0.0 };
-        // Both halves take the vertex's *full* triangle list (the split is
-        // structural-identity by construction) and their own full ad-hoc
-        // profile evidence.
-        let t = self.tris[v.index()].as_deref().unwrap_or(&[]);
-        fn side_of<'a>(p: &'a VertexProfile, t: &'a [(u32, u32)]) -> Side<'a> {
-            Side {
-                wl: None,
-                tris: t,
-                kw: &p.keyword_years,
-                venues: &p.venue_counts,
-                profile: p,
-                cnorm: iuad_text::norm(&p.keyword_centroid),
-            }
-        }
-        Some(self.assemble(ctx, g1, &side_of(&pa, t), &side_of(&pb, t)))
+        let (f, t) = (&self.wl[v.index()], &self.tris[v.index()]);
+        let g1 = if f.is_empty() { 0.0 } else { 1.0 };
+        // Both halves take the vertex's *full* structural features (the
+        // split is structural-identity by construction) and their own full
+        // ad-hoc profile evidence.
+        let sa = Side::full(&pa, f, t, iuad_text::norm(&pa.keyword_centroid));
+        let sb = Side::full(&pb, f, t, iuad_text::norm(&pb.keyword_centroid));
+        Some(self.assemble(ctx, g1, &sa, &sb))
     }
 
     fn assemble(
@@ -1147,7 +1058,7 @@ mod tests {
     fn similarity_vector_is_finite_and_bounded() {
         let (c, scn) = setup();
         let ctx = ProfileContext::build(&c, 16, 2);
-        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let mut checked = 0;
         for vs in scn.by_name.values().filter(|vs| vs.len() >= 2).take(20) {
             for i in 0..vs.len().min(4) {
@@ -1172,7 +1083,7 @@ mod tests {
     fn similarity_is_symmetric() {
         let (c, scn) = setup();
         let ctx = ProfileContext::build(&c, 16, 2);
-        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let (vi, vj) = an_ambiguous_pair(&scn);
         let a = eng.similarity(&ctx, vi, vj);
         let b = eng.similarity(&ctx, vj, vi);
@@ -1193,7 +1104,7 @@ mod tests {
         // at least the content features — the signal GCN relies on.
         let (c, scn) = setup();
         let ctx = ProfileContext::build(&c, 16, 2);
-        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let mut same = [0.0f64; NUM_SIMILARITIES];
         let mut diff = [0.0f64; NUM_SIMILARITIES];
         let mut n_same = 0usize;
@@ -1332,7 +1243,7 @@ mod tests {
         use rand::SeedableRng;
         let (c, scn) = setup();
         let ctx = ProfileContext::build(&c, 16, 2);
-        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::All);
+        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let mut rng = StdRng::seed_from_u64(3);
         // Pick a vertex with many papers.
         let big = scn
@@ -1355,7 +1266,7 @@ mod tests {
         use rand::SeedableRng;
         let (c, scn) = setup();
         let ctx = ProfileContext::build(&c, 16, 2);
-        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let mut rng = StdRng::seed_from_u64(3);
         let small = scn
             .graph
@@ -1372,7 +1283,7 @@ mod tests {
     fn block_matches_per_pair_similarity_exactly() {
         let (c, scn) = setup();
         let ctx = ProfileContext::build(&c, 16, 2);
-        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let mut compared = 0usize;
         for vs in scn.by_name.values().filter(|vs| vs.len() >= 2) {
             let block = eng.similarity_block(&ctx, vs);
@@ -1394,7 +1305,7 @@ mod tests {
     fn absorb_drops_group_to_exact_full_evidence() {
         let (c, scn) = setup();
         let ctx = ProfileContext::build(&c, 16, 2);
-        let mut eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let mut eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let vs = scn
             .by_name
             .values()
@@ -1453,7 +1364,7 @@ mod tests {
         let (base, tail) = full.split_tail(2);
         let mut scn = Scn::build(&base, 2);
         let mut ctx = ProfileContext::build(&base, 16, 2);
-        let mut eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::All);
+        let mut eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let seq = ParallelConfig::sequential();
 
         // A 2-member name group gains a third vertex, crossing the
@@ -1493,8 +1404,8 @@ mod tests {
             },
         );
 
-        eng.refresh(&[fresh, hub], &scn, &scn.csr(), &ctx, &seq);
-        let rebuilt = SimilarityEngine::build_parallel(&scn, &ctx, 0.62, 2, CacheScope::All, &seq);
+        eng.refresh(&[fresh, hub], &scn, &ctx, &seq);
+        let rebuilt = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         assert_eq!(eng.diff_from(&rebuilt), None);
         for &v in &scn.by_name[&pair_name] {
             assert!(
@@ -1505,33 +1416,54 @@ mod tests {
     }
 
     #[test]
-    fn startup_refresh_widens_a_fitted_engine_to_all_scope() {
+    fn absorb_founds_a_vertex_with_its_rebuilt_structural_features() {
+        let full = Corpus::generate(&CorpusConfig {
+            num_authors: 250,
+            num_papers: 1000,
+            seed: 23,
+            ..Default::default()
+        });
+        let (base, tail) = full.split_tail(1);
+        let mut scn = Scn::build(&base, 2);
+        let mut ctx = ProfileContext::build(&base, 16, 2);
+        let mut eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
+        // A name that already has vertices, so the founded vertex is a
+        // candidate of the next same-name query.
+        let name = scn.graph.vertex(VertexId::from(0)).name;
+        let fresh = absorb_solo(
+            &mut scn,
+            &mut ctx,
+            &mut eng,
+            tail[0].0.clone(),
+            name,
+            crate::Decision::NewAuthor { best_score: None },
+        );
+        // No refresh: the absorb alone must leave the rebuilt features.
+        let rebuilt = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
+        let i = fresh.index();
+        assert_eq!(eng.wl[i], rebuilt.wl[i], "founded WL features");
+        assert_eq!(eng.wl[i].norm().to_bits(), rebuilt.wl[i].norm().to_bits());
+        assert_eq!(eng.tris[i], rebuilt.tris[i], "founded triangles");
+    }
+
+    #[test]
+    fn fitted_engine_matches_an_all_vertex_rebuild() {
         let (c, _) = setup();
         let iuad = crate::Iuad::fit(&c, &crate::IuadConfig::default());
-        let all = SimilarityEngine::build(
+        let rebuilt = SimilarityEngine::build(
             &iuad.network,
             &iuad.ctx,
             iuad.config.alpha,
             iuad.config.wl_iters,
-            CacheScope::All,
         );
-        let mut eng = iuad.engine().clone();
-        assert!(eng.diff_from(&all).is_some(), "fit engine is not All-scope");
-        eng.refresh(
-            &[],
-            &iuad.network,
-            &iuad.network.csr(),
-            &iuad.ctx,
-            &ParallelConfig::sequential(),
-        );
-        assert_eq!(eng.diff_from(&all), None);
+        assert_eq!(iuad.engine().diff_from(&rebuilt), None);
     }
 
     #[test]
     fn star_features_similar_for_shared_coauthors() {
         let (c, scn) = setup();
         let ctx = ProfileContext::build(&c, 16, 2);
-        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2, CacheScope::AmbiguousOnly);
+        let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let f1 = eng.star_features(5, &[10, 11, 12]);
         let f2 = eng.star_features(5, &[10, 11, 12]);
         let f3 = eng.star_features(5, &[90, 91, 92]);

@@ -309,13 +309,13 @@ pub fn duplicate_injection_cocluster(
 
 /// The serving tier's epoch publish leaves an engine bit-identical to a
 /// from-scratch build: fit the scenario's streaming base, publish once
-/// (widening the fitted engine to every vertex), then stream the held-out
-/// tail through a [`iuad_serve::ServeState`] at the daemon's default
-/// cadence (a publish every 16 papers, plus one after the last paper).
-/// After the first and the last publish, every cached slab (profiles, WL
-/// features, triangles, centroid norms, join evidence) must equal
-/// [`SimilarityEngine::build_parallel`] over the live network at
-/// [`CacheScope::All`], by bit pattern.
+/// (the daemon's startup epoch, over the fitted engine as it is), then
+/// stream the held-out tail through a [`iuad_serve::ServeState`] at the
+/// daemon's default cadence (a publish every 16 papers, plus one after
+/// the last paper). After the first and the last publish, every cached
+/// slab (profiles, WL features, triangles, centroid norms, join evidence)
+/// must equal [`SimilarityEngine::build_parallel`] over the live network,
+/// by bit pattern.
 pub fn publish_matches_rebuild(
     corpus: &Corpus,
     config: &IuadConfig,

@@ -12,7 +12,9 @@
 //!   live state. Publishing epoch N+1 re-canonicalizes the live engine in
 //!   place via [`iuad_core::SimilarityEngine::refresh`] over the vertices
 //!   touched since the last publish and swaps the pointer; an old epoch
-//!   retires once its last reader drops.
+//!   retires once its last reader drops. The engine caches every vertex
+//!   from the fit on, and streaming adds no edge, so a refresh only
+//!   rebuilds touched profiles and dropped join evidence.
 //! * **Write-ahead log** ([`Wal`]): every accepted paper is appended with
 //!   its assignment decisions before the ingest reply, and every epoch
 //!   publish leaves a marker. Warm restart replays the log — applying the

@@ -33,8 +33,7 @@ pub struct Snapshot {
     pub csr: Csr,
     /// Corpus context extended with every absorbed paper's evidence.
     pub ctx: ProfileContext,
-    /// Canonicalized similarity caches over `network` (scope: all
-    /// vertices — arbitrary names can be queried).
+    /// Canonicalized similarity caches over every vertex of `network`.
     pub engine: SimilarityEngine,
     /// The fitted mixture; `None` when the base corpus had no ambiguity
     /// (every who-is query then answers new-author).

@@ -7,12 +7,13 @@
 //! Publishing an epoch re-canonicalizes the live engine in place with one
 //! [`SimilarityEngine::refresh`] over the vertices touched since the last
 //! publish: absorbed-into profiles are rebuilt exactly from their
-//! mentions, vertices founded since get their structural caches, and
-//! name groups whose join evidence absorb dropped rebuild it. Streaming
-//! adds no edge, so everything else stays as it is. The refreshed engine
-//! is therefore identical to a from-scratch build over the live network;
-//! the snapshot takes a clone of it, and subsequent decisions score
-//! against the same canonical state.
+//! mentions, and name groups whose join evidence absorb dropped rebuild
+//! it. Streaming adds no edge, so every vertex's structural caches already
+//! match a rebuild: the fitted engine caches every vertex, and absorb
+//! gives a founded vertex its isolated-vertex features. The refreshed
+//! engine is therefore identical to a from-scratch build over the live
+//! network; the snapshot takes a clone of it, and subsequent decisions
+//! score against the same canonical state.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -340,11 +341,9 @@ impl ServeState {
         if let Some(faults) = &self.faults {
             faults.check(CrashPoint::BeforePublish);
         }
-        let csr = self.network.csr();
         self.engine.refresh(
             &self.touched,
             &self.network,
-            &csr,
             &self.ctx,
             &self.config.parallel,
         );
@@ -361,7 +360,7 @@ impl ServeState {
         if let Some(faults) = &self.faults {
             faults.check(CrashPoint::AfterPublish);
         }
-        self.snapshot(csr)
+        self.snapshot(self.network.csr())
     }
 
     /// A [`Snapshot`] of the state as it stands, labelled with the last

@@ -110,7 +110,8 @@ impl Default for SgnsConfig {
 }
 
 /// Wall-clock breakdown of one [`train_sgns_with_stats`] call, surfaced as
-/// sub-stage rows in `BENCH_pipeline.json` (schema_version 3).
+/// the `sgns_vocab_build`, `sgns_sampler_build` and `sgns_epoch_loop` stage
+/// rows of `BENCH_pipeline.json` and `BENCH_scale.json`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SgnsStats {
     /// Token counting, `min_count` cutoff + remap, init generation.

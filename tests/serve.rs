@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use iuad_suite::core::{CacheScope, Decision, Iuad, IuadConfig, SimilarityEngine};
+use iuad_suite::core::{Decision, Iuad, IuadConfig, SimilarityEngine};
 use iuad_suite::corpus::{Corpus, CorpusConfig, Paper};
 use iuad_suite::serve::{
     checkpoint_path, list_checkpoints, read_wal, response_field, response_ok, response_shed,
@@ -128,7 +128,6 @@ fn wal_replay_reproduces_live_state_bit_identically() {
         live.ctx(),
         live.engine().alpha(),
         live.engine().wl_iters(),
-        CacheScope::All,
     );
     assert_eq!(live.engine().diff_from(&rebuilt), None);
 
