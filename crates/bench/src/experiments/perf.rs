@@ -3,9 +3,16 @@
 //! `BENCH_pipeline.json` so every future PR can compare against a recorded
 //! trajectory (see README § Performance for the schema).
 //!
-//! Schema version 4: the last stage row is `merged_engine_build`, a full
-//! engine build over the merged network (version 3 carried the Stage-2
-//! engine across the merge in a stage named `engine_derive`). Three SGNS
+//! Schema version 5: a `group_evidence` row between
+//! `similarity_engine_build` and `candidate_pair_data` times Stage 2's
+//! build of each candidate name group's join evidence. Version 4 built
+//! that evidence inside both engine builds (`similarity_engine_build` and
+//! `merged_engine_build`); no engine stores it now, so both engine rows
+//! are pure per-vertex caching, and `candidate_pair_data` (hence
+//! `pairs_per_sec`) times the pair kernel alone. In version 4 the last
+//! stage row became `merged_engine_build`, a full engine build over the
+//! merged network (version 3 carried the Stage-2 engine across the merge
+//! in a stage named `engine_derive`). Three SGNS
 //! sub-stage rows (`sgns_vocab_build`, `sgns_sampler_build`,
 //! `sgns_epoch_loop`, added in version 3) follow the `profile_context`
 //! row they decompose — they are inner timings of the same wall-clock
@@ -56,7 +63,8 @@ pub struct PipelineBench {
     pub stages: Vec<StageTiming>,
     /// Same-name candidate pairs scored by Stage 2.
     pub candidate_pairs: usize,
-    /// Wall-time of `candidate_pair_data` (γ-vector computation) alone.
+    /// Wall-time of `candidate_pair_data` (γ-vector computation over
+    /// already-built group evidence) alone.
     pub candidate_pair_seconds: f64,
     /// `candidate_pairs / candidate_pair_seconds` — the headline number.
     pub pairs_per_sec: f64,
@@ -75,7 +83,7 @@ pub fn bench_of(corpus: &Corpus, iuad: &Iuad) -> PipelineBench {
     let candidate_pairs = iuad.gcn.pairs_scored;
     let candidate_pair_seconds = times.seconds("candidate_pair_data").unwrap_or(0.0);
     PipelineBench {
-        schema_version: 4,
+        schema_version: 5,
         corpus_papers: corpus.papers.len(),
         corpus_names: corpus.num_names(),
         corpus_authors: corpus.num_authors(),
@@ -156,21 +164,11 @@ mod tests {
     use iuad_corpus::CorpusConfig;
     use serde::Value;
 
+    /// Both committed baselines (`BENCH_scale.json` mirrors its guarded
+    /// tier's stages at the top level) carry the stage ids the fit
+    /// records, so no stage row goes unguarded behind a stale file.
     #[test]
     fn measure_emits_the_committed_stage_ids() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-        let text = std::fs::read_to_string(path).expect("committed BENCH_pipeline.json");
-        let doc: Value = serde_json::from_str(&text).expect("valid JSON");
-        let Some(Value::Array(rows)) = field(&doc, "stages") else {
-            panic!("committed baseline has no stages array");
-        };
-        let committed: Vec<&str> = rows
-            .iter()
-            .map(|row| match field(row, "stage") {
-                Some(Value::Str(id)) => id.as_str(),
-                other => panic!("stage row without an id: {other:?}"),
-            })
-            .collect();
         let corpus = Corpus::generate(&CorpusConfig {
             num_authors: 100,
             num_papers: 400,
@@ -179,6 +177,21 @@ mod tests {
         });
         let bench = measure(&corpus, &IuadConfig::default());
         let fresh: Vec<&str> = bench.stages.iter().map(|s| s.stage.as_str()).collect();
-        assert_eq!(fresh, committed);
+        for file in ["BENCH_pipeline.json", "BENCH_scale.json"] {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(path).expect("committed baseline");
+            let doc: Value = serde_json::from_str(&text).expect("valid JSON");
+            let Some(Value::Array(rows)) = field(&doc, "stages") else {
+                panic!("committed {file} has no stages array");
+            };
+            let committed: Vec<&str> = rows
+                .iter()
+                .map(|row| match field(row, "stage") {
+                    Some(Value::Str(id)) => id.as_str(),
+                    other => panic!("{file}: stage row without an id: {other:?}"),
+                })
+                .collect();
+            assert_eq!(fresh, committed, "{file}");
+        }
     }
 }

@@ -2,15 +2,17 @@
 //! fit, written as the machine-readable `BENCH_scale.json` (see README
 //! § Performance for the schema).
 //!
-//! Schema version 3. Two tiers are defined — 100k papers (always run; the
+//! Schema version 4. Two tiers are defined — 100k papers (always run; the
 //! CI `bench-scale` job guards it with `scripts/perf_guard.py`) and 1M
 //! papers (opt-in via `IUAD_SCALE_1M=1`; manual/nightly only — it is a
 //! multi-minute, multi-GB run). The guarded tier's `total_seconds`,
 //! `pairs_per_sec` and `stages` are mirrored at the top level of the
 //! document so the perf guard reads `BENCH_scale.json` exactly like
-//! `BENCH_pipeline.json`. (Version 2 named the last stage `engine_derive`;
-//! version 1 timed a name-block-sharded copy of the fit and carried a
-//! `shard_blocks` field.)
+//! `BENCH_pipeline.json`. (Version 3 had no `group_evidence` row: the
+//! join evidence it times was built inside both engine-build rows, as in
+//! `BENCH_pipeline.json` schema 4. Version 2 named the last stage
+//! `engine_derive`; version 1 timed a name-block-sharded copy of the fit
+//! and carried a `shard_blocks` field.)
 //!
 //! Each stage row is a timing [`Iuad::fit`] records itself, under the same
 //! stage ids as `BENCH_pipeline.json`. Corpora are drawn through
@@ -313,7 +315,7 @@ pub fn run() -> String {
     assert_memory_ceiling(&tiers);
     let guarded = &tiers[0];
     let bench = ScaleBench {
-        schema_version: 3,
+        schema_version: 4,
         threads: par.resolved_threads(),
         guarded_tier: guarded.tier.clone(),
         total_seconds: guarded.total_seconds,

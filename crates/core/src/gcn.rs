@@ -16,7 +16,9 @@ use iuad_par::ParallelConfig;
 
 use crate::profile::ProfileContext;
 use crate::scn::{EdgeData, Scn, ScnVertex};
-use crate::similarity::{SimilarityEngine, SimilarityVector, FAMILIES, NUM_SIMILARITIES};
+use crate::similarity::{
+    JoinEvidence, SimilarityEngine, SimilarityVector, FAMILIES, NUM_SIMILARITIES,
+};
 use crate::stages::StageTimes;
 
 /// How accepted pair decisions are turned into clusters.
@@ -83,18 +85,24 @@ pub struct PairData {
     pub vectors: Vec<SimilarityVector>,
 }
 
+/// Name groups below this size get no [`JoinEvidence`]. A 2-vertex
+/// group's filtered evidence is exactly its single pair's intersection, so
+/// building it costs the full-evidence scan it would later save — zero net
+/// win — while a k ≥ 3 group amortises one basis across k(k−1)/2 pairs.
+/// Excluded pairs score over full evidence, which the filter is exact
+/// against by construction, so γ-vectors are unchanged.
+pub(crate) const JOIN_EVIDENCE_MIN_GROUP: usize = 3;
+
 /// Compute γ-vectors for every same-name vertex pair (the candidate set `R`).
 pub fn candidate_pair_data(scn: &Scn, ctx: &ProfileContext, engine: &SimilarityEngine) -> PairData {
     candidate_pair_data_parallel(scn, ctx, engine, &ParallelConfig::sequential())
 }
 
-/// [`candidate_pair_data`] with the O(n²) per-pair γ-vector computation —
-/// the dominant Stage-2 cost — fanned across `par.threads` workers, one
-/// job per same-name candidate group. Each group runs through
-/// [`SimilarityEngine::similarity_block`], which shares one WL
-/// inverted-label pass across the whole group; γ-vectors are pure
-/// functions of the cached engine state, so the output is identical at any
-/// thread count (and bit-identical to per-pair [`SimilarityEngine::similarity`]).
+/// [`candidate_pair_data`] fanned across `par.threads` workers, one job
+/// per same-name candidate group: each group's [`JoinEvidence`] is built,
+/// then its pairs are scored over it. γ-vectors are pure functions of the
+/// cached engine state, so the output is identical at any thread count
+/// (and bit-identical to per-pair [`SimilarityEngine::similarity`]).
 pub fn candidate_pair_data_parallel(
     scn: &Scn,
     ctx: &ProfileContext,
@@ -102,15 +110,43 @@ pub fn candidate_pair_data_parallel(
     par: &ParallelConfig,
 ) -> PairData {
     let groups = candidate_groups(scn);
+    let evidence = group_evidence(&groups, engine, par);
+    score_groups(&groups, &evidence, ctx, engine, par)
+}
+
+/// Each candidate group's [`JoinEvidence`], parallel to `groups`; `None`
+/// for groups below [`JOIN_EVIDENCE_MIN_GROUP`].
+fn group_evidence(
+    groups: &[&[VertexId]],
+    engine: &SimilarityEngine,
+    par: &ParallelConfig,
+) -> Vec<Option<Vec<JoinEvidence>>> {
+    iuad_par::parallel_map(par, groups, |vs| {
+        (vs.len() >= JOIN_EVIDENCE_MIN_GROUP).then(|| engine.group_join_evidence(vs))
+    })
+}
+
+/// The O(n²) per-pair γ-vector computation — the dominant Stage-2 cost —
+/// one [`SimilarityEngine::similarity_block`] per group over its
+/// `evidence`, sharing one WL inverted-label pass across the group.
+fn score_groups(
+    groups: &[&[VertexId]],
+    evidence: &[Option<Vec<JoinEvidence>>],
+    ctx: &ProfileContext,
+    engine: &SimilarityEngine,
+    par: &ParallelConfig,
+) -> PairData {
     let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-    for vs in &groups {
+    for vs in groups {
         for i in 0..vs.len() {
             for j in (i + 1)..vs.len() {
                 pairs.push((vs[i].min(vs[j]), vs[i].max(vs[j])));
             }
         }
     }
-    let block_vectors = iuad_par::parallel_map(par, &groups, |vs| engine.similarity_block(ctx, vs));
+    let block_vectors = iuad_par::parallel_map_indexed(par, groups, |g, vs| {
+        engine.similarity_block(ctx, vs, evidence[g].as_deref())
+    });
     let vectors: Vec<SimilarityVector> = block_vectors.into_iter().flatten().collect();
     debug_assert_eq!(vectors.len(), pairs.len());
     PairData { pairs, vectors }
@@ -423,7 +459,7 @@ impl Gcn {
     }
 
     /// The one Stage-2 body behind every `build*` entry point and
-    /// [`crate::Iuad::fit`], recording its three stages into `times`.
+    /// [`crate::Iuad::fit`], recording its four stages into `times`.
     pub(crate) fn build_inner(
         scn: &Scn,
         ctx: &ProfileContext,
@@ -433,9 +469,12 @@ impl Gcn {
         par: &ParallelConfig,
         times: &mut StageTimes,
     ) -> Gcn {
+        let groups = candidate_groups(scn);
+        let evidence = times.time("group_evidence", || group_evidence(&groups, engine, par));
         let data = times.time("candidate_pair_data", || {
-            candidate_pair_data_parallel(scn, ctx, engine, par)
+            score_groups(&groups, &evidence, ctx, engine, par)
         });
+        drop(evidence);
         let all_features: Vec<usize> = (0..NUM_SIMILARITIES).collect();
         let model = times.time("mixture_fit", || {
             let (mut rows, mut anchors) = training_rows(&data, scn, ctx, engine, cfg);

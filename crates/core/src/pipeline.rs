@@ -360,6 +360,7 @@ mod tests {
                 "sgns_epoch_loop",
                 "scn_build",
                 "similarity_engine_build",
+                "group_evidence",
                 "candidate_pair_data",
                 "mixture_fit",
                 "score_and_cluster",

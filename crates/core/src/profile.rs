@@ -345,25 +345,12 @@ impl KeywordYears {
         self.years.len()
     }
 
-    /// A copy containing only the words that pass `keep` (years carried
-    /// over verbatim). Used to build join-optimised evidence: when `keep`
-    /// drops only words that provably cannot occur in a join partner, γ₄
-    /// over two such copies is bit-identical to the originals.
-    pub fn filter_words(&self, mut keep: impl FnMut(u32) -> bool) -> KeywordYears {
-        let mut out = KeywordYears::default();
-        for (i, &w) in self.words.iter().enumerate() {
-            if keep(w) {
-                out.words.push(w);
-                out.years.extend_from_slice(self.years_at(i));
-                out.offsets.push(out.years.len() as u32);
-            }
-        }
-        out
-    }
-
-    /// [`Self::filter_words`] against an explicit ascending word list via
-    /// [`iuad_graph::wl::join_ascending`] — an empty `keep` set costs next
-    /// to nothing. Identical output to `filter_words(|w| keep.contains(w))`.
+    /// A copy containing only the words in the ascending list `keep`
+    /// (years carried over verbatim), found via
+    /// [`iuad_graph::wl::join_ascending`], so an empty `keep` set costs next
+    /// to nothing. Used to build join-optimised evidence: when `keep` drops
+    /// only words that provably cannot occur in a join partner, γ₄ over two
+    /// such copies is bit-identical to the originals.
     pub fn intersect_words(&self, keep: &[u32]) -> KeywordYears {
         let mut out = KeywordYears::default();
         iuad_graph::wl::join_ascending(&self.words, keep, |i| {
@@ -521,16 +508,10 @@ impl VenueCounts {
         self.0 = merged;
     }
 
-    /// A copy containing only the venues that pass `keep` (counts carried
-    /// over verbatim) — the γ₅/γ₆ analogue of
-    /// [`KeywordYears::filter_words`].
-    pub fn filter_venues(&self, mut keep: impl FnMut(u32) -> bool) -> VenueCounts {
-        VenueCounts(self.0.iter().copied().filter(|&(v, _)| keep(v)).collect())
-    }
-
-    /// [`Self::filter_venues`] against an explicit ascending venue list
-    /// via [`iuad_graph::wl::join_ascending`]. Identical output to
-    /// `filter_venues(|v| keep.contains(v))`.
+    /// A copy containing only the venues in the ascending list `keep`
+    /// (counts carried over verbatim), found via
+    /// [`iuad_graph::wl::join_ascending`] — the γ₅/γ₆ analogue of
+    /// [`KeywordYears::intersect_words`].
     pub fn intersect_venues(&self, keep: &[u32]) -> VenueCounts {
         let mut out = Vec::new();
         let venues: Vec<u32> = self.0.iter().map(|&(v, _)| v).collect();

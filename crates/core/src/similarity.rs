@@ -70,25 +70,20 @@ pub enum CacheScope {
 /// alongside the network it was built from; methods take the graph/context
 /// by reference where needed.
 ///
-/// The engine is total: profiles, WL features and name triangles are
-/// index-addressed slabs parallel to `profiles` with an entry for *every*
-/// vertex, so any vertex a query can name is answered from cache (§V-E
-/// judges a new mention against every vertex of its name). A vertex
-/// founded by [`SimilarityEngine::absorb`] is isolated, because absorbing
-/// adds no edge, so it gets the isolated-vertex features a rebuild would
-/// compute, and no cached vertex's structural features ever go stale.
+/// The engine is a pure per-vertex cache: profiles, WL features, name
+/// triangles and centroid norms are index-addressed slabs parallel to
+/// `profiles` with an entry for *every* vertex, so any vertex a query can
+/// name is answered from cache (§V-E judges a new mention against every
+/// vertex of its name). A vertex founded by [`SimilarityEngine::absorb`]
+/// is isolated, because absorbing adds no edge, so it gets the
+/// isolated-vertex features a rebuild would compute, and no cached
+/// vertex's structural features ever go stale. It stores no group-level
+/// state: Stage 2 builds each candidate group's [`JoinEvidence`] itself.
 #[derive(Debug, Clone)]
 pub struct SimilarityEngine {
     profiles: Vec<VertexProfile>,
     wl: Vec<SparseFeatures>,
     tris: Vec<Vec<(u32, u32)>>,
-    /// Group-filtered pair evidence parallel to `profiles`; `None` falls
-    /// back to the full per-vertex evidence (see [`JoinEvidence`]).
-    join: Vec<Option<JoinEvidence>>,
-    /// Members of each name group that holds join evidence, so `absorb`
-    /// can invalidate a group in O(group) instead of scanning every
-    /// profile. Entries are removed once invalidated.
-    join_groups: rustc_hash::FxHashMap<iuad_corpus::NameId, Vec<VertexId>>,
     /// Keyword-centroid L2 norms parallel to `profiles`, hoisting γ₃'s
     /// self-norm passes out of the pairwise loop.
     cnorm: Vec<f64>,
@@ -109,27 +104,20 @@ pub struct SimilarityEngine {
 /// centuries — any larger gap falls back to a direct `exp`).
 const GAMMA4_TABLE_LEN: usize = 512;
 
-/// Name groups below this size carry no [`JoinEvidence`]. A 2-vertex
-/// group's filtered evidence is exactly its single pair's intersection, so
-/// building it costs the full-evidence scan it would later save — zero net
-/// win — while a k ≥ 3 group amortises one basis across k(k−1)/2 pairs.
-/// Excluded pairs score over the full-evidence fallback, which the filter
-/// is exact against by construction, so γ-vectors are unchanged.
-const JOIN_EVIDENCE_MIN_GROUP: usize = 3;
-
-/// Join-optimised evidence for one vertex: each component keeps only the
-/// items (WL labels, triangles, keywords, venues) that occur in ≥ 2
-/// vertices of the owner's *name group*. [`SimilarityEngine::similarity`]
-/// only ever compares same-name vertices, and an item held by a single
-/// member can never match inside the group — so same-name pair scores over
-/// this evidence are bit-identical to the full per-vertex evidence while
+/// Join-optimised evidence for one vertex of a name group: each component
+/// keeps only the items (WL labels, triangles, keywords, venues) that
+/// occur in ≥ 2 members of the group. An item held by a single member can
+/// never match inside the group, so pair scores within the group over this
+/// evidence are bit-identical to the full per-vertex evidence while
 /// scanning ~an order of magnitude fewer entries (Stage 1 kept same-name
 /// vertices apart precisely because their evidence barely overlaps).
 ///
-/// Ad-hoc queries ([`SimilarityEngine::similarity_against`]) must use the
-/// full evidence: an external profile can match items this filter dropped.
+/// Built per group by [`SimilarityEngine::group_join_evidence`] and read
+/// only by [`SimilarityEngine::similarity_block`]: it is Stage 2's batch
+/// accelerator, and no engine stores it. Every other query scores over
+/// full evidence; an ad-hoc profile could match items this filter dropped.
 #[derive(Debug, Clone)]
-struct JoinEvidence {
+pub struct JoinEvidence {
     /// Filtered WL features with the *full* norm retained, so the
     /// normalised kernel still divides by the full self-kernels.
     wl: SparseFeatures,
@@ -284,8 +272,8 @@ fn intersect_sorted<T: Ord + Copy>(items: &[T], keep: &[T]) -> Vec<T> {
 }
 
 /// Borrowed evidence for one side of a γ-vector evaluation: either a
-/// vertex's [`JoinEvidence`] (cached same-name pair path) or its full
-/// profile-backed evidence (fallback and ad-hoc paths).
+/// vertex's [`JoinEvidence`] (Stage 2's batch path) or its full
+/// profile-backed evidence (every other path).
 struct Side<'a> {
     wl: &'a SparseFeatures,
     tris: &'a [(u32, u32)],
@@ -383,58 +371,27 @@ impl SimilarityEngine {
             wl[v.index()] = w;
             tris[v.index()] = t;
         }
-        let mut engine = SimilarityEngine {
+        SimilarityEngine {
             profiles,
             wl,
             tris,
-            join: vec![None; n],
-            join_groups: rustc_hash::FxHashMap::default(),
             cnorm,
             g4_exp,
             alpha,
             wl_iters,
-        };
-        // Groups of 2 carry no join evidence (see
-        // [`JOIN_EVIDENCE_MIN_GROUP`]).
-        let groups: Vec<&[VertexId]> = scn
-            .by_name
-            .values()
-            .filter(|vs| vs.len() >= JOIN_EVIDENCE_MIN_GROUP)
-            .map(Vec::as_slice)
-            .collect();
-        engine.build_join_evidence(&groups, par);
-        engine
-    }
-
-    /// Build [`JoinEvidence`] for every member of each name group in
-    /// `groups` (see its docs for why this is exact), fanned across workers
-    /// — groups are independent — and record each group's membership.
-    fn build_join_evidence(&mut self, groups: &[&[VertexId]], par: &ParallelConfig) {
-        let evidence = iuad_par::parallel_map(par, groups, |vs| {
-            Self::group_join_evidence(vs, &self.wl, &self.tris, &self.profiles)
-        });
-        for (vs, evidence) in groups.iter().zip(evidence) {
-            for (&v, e) in vs.iter().zip(evidence) {
-                self.join[v.index()] = Some(e);
-            }
-            let name = self.profiles[vs[0].index()].name;
-            self.join_groups.insert(name, vs.to_vec());
         }
     }
 
-    /// [`JoinEvidence`] for every member of one name group, in `vs` order.
+    /// [`JoinEvidence`] for every member of the name group `vs`, in `vs`
+    /// order (see its docs for why this is exact).
     ///
     /// Every per-member item list (WL labels, triangles, keywords, venues)
     /// is already sorted and duplicate-free, so "occurs in ≥ 2 members" is
     /// computed by concatenate-sort-scan instead of hash counting, and each
     /// member filters against the shared sorted set with an advancing
     /// cursor — no hash map touches the evidence path.
-    fn group_join_evidence(
-        vs: &[VertexId],
-        wl: &[SparseFeatures],
-        tris: &[Vec<(u32, u32)>],
-        profiles: &[VertexProfile],
-    ) -> Vec<JoinEvidence> {
+    pub fn group_join_evidence(&self, vs: &[VertexId]) -> Vec<JoinEvidence> {
+        let (wl, tris, profiles) = (&self.wl, &self.tris, &self.profiles);
         let label_lists: Vec<&[u64]> = vs.iter().map(|&v| wl[v.index()].labels()).collect();
         let shared_labels: Vec<u64> = shared_sorted_lists(&label_lists);
         // `name_triangles_csr` dedups, so each triangle occurs once per
@@ -472,13 +429,13 @@ impl SimilarityEngine {
     /// [`Self::build_parallel`] at `old`'s α and `h`; `plan` and `scope`
     /// are unused.
     ///
-    /// This once carried profiles, structural caches and join evidence
-    /// across the Stage-2 merge. That stopped paying: about half the
-    /// merged vertices are coalesced hubs, so the dirty ball around them
-    /// covers nearly the whole graph and the carry cost as much as a
-    /// rebuild. [`crate::Iuad::fit`] builds its merged engine directly.
-    /// The signature stays only because the repository benchmark times
-    /// this entry point.
+    /// This once carried profiles and structural caches across the Stage-2
+    /// merge. That stopped paying: about half the merged vertices are
+    /// coalesced hubs, so the dirty ball around them covers nearly the
+    /// whole graph and the carry cost as much as a rebuild.
+    /// [`crate::Iuad::fit`] builds its merged engine directly. The
+    /// signature stays only because the repository benchmark times this
+    /// entry point.
     pub fn derive(
         old: SimilarityEngine,
         _plan: &crate::gcn::MergePlan,
@@ -503,15 +460,11 @@ impl SimilarityEngine {
     /// Streaming adds mentions and vertices but never an edge, so every
     /// vertex's WL features and triangles already equal a rebuild's (a
     /// founded vertex got its isolated-vertex features at
-    /// [`Self::absorb`]). Only two things can differ, and each is
-    /// recomputed:
-    ///
-    /// * **Profiles** of touched vertices are rebuilt from their mentions.
-    ///   [`Self::absorb`] merges profiles ([`VertexProfile::merge`]), whose
-    ///   mass-weighted centroid drifts f32 bits from a from-scratch build.
-    ///   No other vertex gained a mention.
-    /// * **Join evidence** is rebuilt in full for groups of ≥ 3 whose entry
-    ///   [`Self::absorb`] dropped or that reached 3 members since.
+    /// [`Self::absorb`]). Only the profiles of touched vertices can differ:
+    /// [`Self::absorb`] merges profiles ([`VertexProfile::merge`]), whose
+    /// mass-weighted centroid drifts f32 bits from a from-scratch build. So
+    /// refresh rebuilds those profiles (and their centroid norms) from
+    /// their mentions; no other vertex gained a mention.
     pub fn refresh(
         &mut self,
         touched: &[VertexId],
@@ -535,15 +488,6 @@ impl SimilarityEngine {
             self.cnorm[v.index()] = iuad_text::norm(&p.keyword_centroid);
             self.profiles[v.index()] = p;
         }
-
-        let stale: Vec<&[VertexId]> = network
-            .by_name
-            .values()
-            .filter(|vs| vs.len() >= JOIN_EVIDENCE_MIN_GROUP)
-            .filter(|vs| self.join_groups.get(&self.profiles[vs[0].index()].name) != Some(*vs))
-            .map(Vec::as_slice)
-            .collect();
-        self.build_join_evidence(&stale, par);
     }
 
     /// First difference between two engines' cached state, or `None` when
@@ -586,33 +530,16 @@ impl SimilarityEngine {
             if self.tris[i] != other.tris[i] {
                 return Some(format!("triangles differ at vertex {i}"));
             }
-            let join_eq = match (&self.join[i], &other.join[i]) {
-                (Some(a), Some(b)) => {
-                    sparse_eq(&a.wl, &b.wl)
-                        && a.tris == b.tris
-                        && a.kw == b.kw
-                        && a.venues == b.venues
-                }
-                (None, None) => true,
-                _ => false,
-            };
-            if !join_eq {
-                return Some(format!("join evidence differs at vertex {i}"));
-            }
-        }
-        if self.join_groups != other.join_groups {
-            return Some("join-group membership differs".to_string());
         }
         None
     }
 
-    /// The evidence [`Side`] of a vertex: the group-filtered
-    /// [`JoinEvidence`] when present, the full per-vertex evidence
-    /// otherwise.
-    fn side(&self, v: VertexId) -> Side<'_> {
+    /// The evidence [`Side`] of a vertex: its group-filtered `join`
+    /// evidence when given, its full per-vertex evidence otherwise.
+    fn side<'a>(&'a self, v: VertexId, join: Option<&'a JoinEvidence>) -> Side<'a> {
         let profile = &self.profiles[v.index()];
         let cnorm = self.cnorm[v.index()];
-        match &self.join[v.index()] {
+        match join {
             Some(j) => Side {
                 wl: &j.wl,
                 tris: &j.tris,
@@ -683,49 +610,49 @@ impl SimilarityEngine {
             // Slabs stay parallel to `profiles`.
             self.wl.push(self.star_features(delta.name.0, &[]));
             self.tris.push(Vec::new());
-            self.join.push(None);
             self.cnorm.push(0.0);
             self.profiles.push(delta.clone());
         }
         self.cnorm[v.index()] = iuad_text::norm(&self.profiles[v.index()].keyword_centroid);
-        // The group-filtered evidence basis of `v`'s whole name group is
-        // stale: `v`'s new items could match items the filter dropped from
-        // its peers. Drop the group to the exact full-evidence fallback
-        // (O(group); the removed entry keeps repeat absorbs O(1)).
-        let name = self.profiles[v.index()].name;
-        if let Some(members) = self.join_groups.remove(&name) {
-            for u in members {
-                self.join[u.index()] = None;
-            }
-        }
     }
 
-    /// γ-vector between two *same-name* vertices (γ₁ is computed over the
-    /// name group's shared label basis, so cross-name queries would see a
-    /// zero kernel).
+    /// γ-vector between two vertices over their full evidence.
     pub fn similarity(&self, ctx: &ProfileContext, vi: VertexId, vj: VertexId) -> SimilarityVector {
-        let si = self.side(vi);
-        let sj = self.side(vj);
+        let si = self.side(vi, None);
+        let sj = self.side(vj, None);
         self.assemble(ctx, normalized_kernel(si.wl, sj.wl), &si, &sj)
     }
 
     /// γ-vectors for every unordered pair of `vs` (the `i < j` pairs of the
     /// slice, in nested-loop order) — the batch path Stage 2 uses per
-    /// same-name candidate group.
+    /// same-name candidate group. `join` is the group's
+    /// [`Self::group_join_evidence`] (parallel to `vs`), or `None` to score
+    /// over full evidence.
     ///
     /// Produces bit-identical vectors to calling [`Self::similarity`] per
-    /// pair, but computes all WL kernels of the group in one pass over an
-    /// inverted label index: each vertex's feature list is scanned once per
-    /// *group* instead of once per *pair*, which is the dominant Stage-2
-    /// saving on heavily ambiguous names.
-    pub fn similarity_block(&self, ctx: &ProfileContext, vs: &[VertexId]) -> Vec<SimilarityVector> {
+    /// pair either way, but computes all WL kernels of the group in one
+    /// pass over an inverted label index: each vertex's feature list is
+    /// scanned once per *group* instead of once per *pair*, which is the
+    /// dominant Stage-2 saving on heavily ambiguous names.
+    pub fn similarity_block(
+        &self,
+        ctx: &ProfileContext,
+        vs: &[VertexId],
+        join: Option<&[JoinEvidence]>,
+    ) -> Vec<SimilarityVector> {
         let k = vs.len();
         if k < 2 {
             return Vec::new();
         }
         let tri = |i: usize, j: usize| i * (2 * k - i - 1) / 2 + (j - i - 1);
         let mut dots = vec![0.0f64; k * (k - 1) / 2];
-        let sides: Vec<Side<'_>> = vs.iter().map(|&v| self.side(v)).collect();
+        assert!(
+            join.is_none_or(|j| j.len() == k),
+            "join evidence not parallel to vs"
+        );
+        let sides: Vec<Side<'_>> = (0..k)
+            .map(|i| self.side(vs[i], join.map(|j| &j[i])))
+            .collect();
         // Inverted label index over the group: `head` maps a label to a
         // chain of (vertex slot, count) nodes in `arena` (`0` = end, node
         // ids offset by 1). Processing vertices in slice order and labels
@@ -775,12 +702,9 @@ impl SimilarityEngine {
         new_tris: &[(u32, u32)],
         vj: VertexId,
     ) -> SimilarityVector {
-        // Both sides use *full* evidence: the ad-hoc profile is outside the
-        // group basis the join filter was computed against.
         let cnorm = iuad_text::norm(&new_profile.keyword_centroid);
         let si = Side::full(new_profile, new_wl, new_tris, cnorm);
-        let j = vj.index();
-        let sj = Side::full(&self.profiles[j], &self.wl[j], &self.tris[j], self.cnorm[j]);
+        let sj = self.side(vj, None);
         self.assemble(ctx, normalized_kernel(si.wl, sj.wl), &si, &sj)
     }
 
@@ -1284,55 +1208,32 @@ mod tests {
         let (c, scn) = setup();
         let ctx = ProfileContext::build(&c, 16, 2);
         let eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
-        let mut compared = 0usize;
+        let (mut compared, mut filtered_groups) = (0usize, 0usize);
         for vs in scn.by_name.values().filter(|vs| vs.len() >= 2) {
-            let block = eng.similarity_block(&ctx, vs);
+            // As Stage 2 scores: over group-filtered evidence from
+            // `JOIN_EVIDENCE_MIN_GROUP` members on, full evidence below.
+            let join = (vs.len() >= crate::gcn::JOIN_EVIDENCE_MIN_GROUP)
+                .then(|| eng.group_join_evidence(vs));
+            filtered_groups += usize::from(join.is_some());
+            let block = eng.similarity_block(&ctx, vs, join.as_deref());
             let mut it = block.iter();
             for i in 0..vs.len() {
                 for j in (i + 1)..vs.len() {
                     let per_pair = eng.similarity(&ctx, vs[i].min(vs[j]), vs[i].max(vs[j]));
-                    // Bit-identical, not approximately equal: the batch
-                    // path accumulates in the merge join's exact order.
+                    // Bit-identical, not approximately equal: the filter
+                    // drops only items no other member holds, and the
+                    // batch path accumulates in the merge join's exact
+                    // order.
                     assert_eq!(it.next().unwrap(), &per_pair, "pair {i},{j}");
                     compared += 1;
                 }
             }
         }
         assert!(compared > 50, "too few pairs compared: {compared}");
-    }
-
-    #[test]
-    fn absorb_drops_group_to_exact_full_evidence() {
-        let (c, scn) = setup();
-        let ctx = ProfileContext::build(&c, 16, 2);
-        let mut eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
-        let vs = scn
-            .by_name
-            .values()
-            .find(|vs| vs.len() >= 3)
-            .expect("a 3+ group exists")
-            .clone();
-        let before: Vec<SimilarityVector> = vec![
-            eng.similarity(&ctx, vs[0], vs[1]),
-            eng.similarity(&ctx, vs[1], vs[2]),
-        ];
-        // Absorb a new paper's profile into vs[0]: its whole name group
-        // falls back to full (unfiltered) evidence.
-        let paper = &c.papers[0];
-        let delta = VertexProfile::from_new_paper(scn.graph.vertex(vs[0]).name, paper, &ctx);
-        eng.absorb(vs[0], &delta);
-        // The absorb added no edge, so the absorbed vertex keeps its WL
-        // cache: γ1 over full evidence equals γ1 over the group basis…
-        let touched = eng.similarity(&ctx, vs[0], vs[1]);
-        assert_eq!(
-            touched[0].to_bits(),
-            before[0][0].to_bits(),
-            "γ1 must keep its pre-absorb bits"
+        assert!(
+            filtered_groups > 0,
+            "no group scored over filtered evidence"
         );
-        // …and pairs among untouched members are *bit-identical* on the
-        // full-evidence fallback — the group filter never changed a value.
-        let untouched = eng.similarity(&ctx, vs[1], vs[2]);
-        assert_eq!(untouched, before[1]);
     }
 
     /// Absorb `paper` (authored by `name` alone) into the network and
@@ -1367,8 +1268,7 @@ mod tests {
         let mut eng = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         let seq = ParallelConfig::sequential();
 
-        // A 2-member name group gains a third vertex, crossing the
-        // join-evidence threshold.
+        // A 2-member name group gains a third, founded vertex.
         let pair_name = scn
             .by_name
             .iter()
@@ -1384,7 +1284,8 @@ mod tests {
             pair_name,
             crate::Decision::NewAuthor { best_score: None },
         );
-        // The highest-degree vertex absorbs a paper.
+        // The highest-degree vertex absorbs a paper. It must keep its WL
+        // features and triangles: refresh recomputes neither.
         let hub = scn
             .graph
             .vertices()
@@ -1407,12 +1308,6 @@ mod tests {
         eng.refresh(&[fresh, hub], &scn, &ctx, &seq);
         let rebuilt = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
         assert_eq!(eng.diff_from(&rebuilt), None);
-        for &v in &scn.by_name[&pair_name] {
-            assert!(
-                eng.join[v.index()].is_some(),
-                "grown group lacks join evidence"
-            );
-        }
     }
 
     #[test]

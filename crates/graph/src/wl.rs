@@ -152,37 +152,18 @@ impl SparseFeatures {
         self.labels.iter().copied().zip(self.counts.iter().copied())
     }
 
-    /// A join-optimised copy that keeps only the entries whose label passes
-    /// `keep`, while *retaining `self`'s norm*.
+    /// A join-optimised copy that keeps only the entries whose label is in
+    /// the ascending list `keep`, while *retaining `self`'s norm*. Found via
+    /// [`join_ascending`], so an empty or near-empty `keep` set, the common
+    /// case for group-shared evidence, costs next to nothing.
     ///
     /// This is the one constructor that intentionally breaks the
     /// `norm == sqrt(Σ count²)` invariant: when `keep` drops only labels
-    /// that provably cannot occur in any join partner (e.g. labels unique
-    /// to one vertex corpus-wide), [`kernel`] over two such copies returns
+    /// that provably cannot occur in any join partner (e.g. labels held by
+    /// one member of a name group), [`kernel`] over two such copies returns
     /// the exact dot product of the originals, and [`normalized_kernel`]
     /// still normalises by the full self-kernels — bit-identical results
     /// from a fraction of the scan length.
-    pub fn filter_labels(&self, mut keep: impl FnMut(u64) -> bool) -> SparseFeatures {
-        let mut labels = Vec::new();
-        let mut counts = Vec::new();
-        for (l, c) in self.iter() {
-            if keep(l) {
-                labels.push(l);
-                counts.push(c);
-            }
-        }
-        SparseFeatures {
-            labels,
-            counts,
-            norm: self.norm,
-        }
-    }
-
-    /// [`Self::filter_labels`] against an explicit ascending label list
-    /// via [`join_ascending`] — so an empty or near-empty `keep` set, the
-    /// common case for group-shared evidence, costs next to nothing
-    /// instead of a full scan. Identical output (and the same retained
-    /// norm) as `filter_labels(|l| keep.contains(l))`.
     pub fn intersect_labels(&self, keep: &[u64]) -> SparseFeatures {
         let mut labels = Vec::new();
         let mut counts = Vec::new();

@@ -313,8 +313,7 @@ pub fn duplicate_injection_cocluster(
 /// stream the held-out tail through a [`iuad_serve::ServeState`] at the
 /// daemon's default cadence (a publish every 16 papers, plus one after
 /// the last paper). After the first and the last publish, every cached
-/// slab (profiles, WL features, triangles, centroid norms, join evidence)
-/// must equal [`SimilarityEngine::build_parallel`] over the live network,
+/// slab (profiles, WL features, triangles, centroid norms) must equal [`SimilarityEngine::build_parallel`] over the live network,
 /// by bit pattern.
 pub fn publish_matches_rebuild(
     corpus: &Corpus,

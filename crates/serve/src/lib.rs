@@ -14,7 +14,7 @@
 //!   touched since the last publish and swaps the pointer; an old epoch
 //!   retires once its last reader drops. The engine caches every vertex
 //!   from the fit on, and streaming adds no edge, so a refresh only
-//!   rebuilds touched profiles and dropped join evidence.
+//!   rebuilds touched profiles.
 //! * **Write-ahead log** ([`Wal`]): every accepted paper is appended with
 //!   its assignment decisions before the ingest reply, and every epoch
 //!   publish leaves a marker. Warm restart replays the log — applying the

@@ -7,13 +7,14 @@
 //! Publishing an epoch re-canonicalizes the live engine in place with one
 //! [`SimilarityEngine::refresh`] over the vertices touched since the last
 //! publish: absorbed-into profiles are rebuilt exactly from their
-//! mentions, and name groups whose join evidence absorb dropped rebuild
-//! it. Streaming adds no edge, so every vertex's structural caches already
-//! match a rebuild: the fitted engine caches every vertex, and absorb
-//! gives a founded vertex its isolated-vertex features. The refreshed
-//! engine is therefore identical to a from-scratch build over the live
-//! network; the snapshot takes a clone of it, and subsequent decisions
-//! score against the same canonical state.
+//! mentions. Streaming adds no edge, so every vertex's structural caches
+//! already match a rebuild: the fitted engine caches every vertex, and
+//! absorb gives a founded vertex its isolated-vertex features. The engine
+//! holds no group-level state (join evidence is Stage 2's), so the
+//! refreshed engine is identical to a from-scratch build over the live
+//! network. The snapshot takes a deep clone of it (and of the network and
+//! context), and subsequent decisions score against the same canonical
+//! state.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -67,9 +68,10 @@ pub enum RecordOutcome {
     Skipped,
     /// A paper record was registered and absorbed.
     Paper,
-    /// An epoch marker re-published; the frozen snapshot it produced
-    /// (boxed — a snapshot is hundreds of bytes of headers over its
-    /// `Arc`-shared slabs, dwarfing the other variants).
+    /// An epoch marker re-published; the frozen snapshot it produced. A
+    /// snapshot owns deep clones of the live network, context and engine
+    /// (see [`ServeState::publish`]); it is boxed because its hundreds of
+    /// bytes of inline headers would dwarf the other variants.
     Published(Box<Snapshot>),
 }
 
