@@ -489,12 +489,18 @@ pub fn wal_replay_matches_live(
         }
         state
     };
-    let records = match iuad_serve::read_wal(&path) {
-        Ok(records) => records,
-        Err(e) => return InvariantReport::fail(NAME, format!("cannot read WAL back: {e}")),
-    };
-    let replayed = iuad_serve::ServeState::replay(Iuad::fit(&base, config), &records);
+    let recovery = iuad_serve::ServeState::recover(Iuad::fit(&base, config), &path);
     std::fs::remove_file(&path).ok();
+    let replayed = match recovery {
+        Ok(recovery) if recovery.checkpoint_seq.is_none() => recovery.state,
+        Ok(recovery) => {
+            return InvariantReport::fail(
+                NAME,
+                format!("recovery used checkpoint {:?}", recovery.checkpoint_seq),
+            )
+        }
+        Err(e) => return InvariantReport::fail(NAME, format!("cannot recover from the WAL: {e}")),
+    };
     let (live_fp, replay_fp) = (live.fingerprint(), replayed.fingerprint());
     if live_fp != replay_fp {
         return InvariantReport::fail(

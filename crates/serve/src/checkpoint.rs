@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn roundtrip_and_discovery_order() {
         let wal = scratch("rt.wal");
-        let records = vec![WalRecord::epoch(1), WalRecord::epoch(2)];
+        let records = vec![WalRecord::Epoch(1), WalRecord::Epoch(2)];
         write_checkpoint(&wal, &meta(3, 2), &records, None).unwrap();
         write_checkpoint(&wal, &meta(12, 2), &records, None).unwrap();
         let listed = list_checkpoints(&wal).unwrap();
@@ -258,15 +258,14 @@ mod tests {
         let back = read_checkpoint(&listed[1].1).unwrap();
         assert_eq!(back.meta.seq, 12);
         assert_eq!(back.meta.next_paper, 425);
-        assert_eq!(back.records.len(), 2);
-        assert_eq!(back.records[1].epoch, Some(2));
+        assert_eq!(back.records, records);
         prune_checkpoints(&wal, 0).unwrap();
     }
 
     #[test]
     fn strict_reader_rejects_boundary_truncation() {
         let wal = scratch("strict.wal");
-        let records = vec![WalRecord::epoch(1), WalRecord::epoch(2)];
+        let records = vec![WalRecord::Epoch(1), WalRecord::Epoch(2)];
         let path = write_checkpoint(&wal, &meta(1, 2), &records, None).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         // Drop the last record *exactly at its frame boundary*: length

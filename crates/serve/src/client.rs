@@ -7,6 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use iuad_corpus::Paper;
 use serde::Value;
 
 use crate::fault::splitmix;
@@ -119,9 +120,22 @@ impl Client {
 
     /// Build a request object from `op` plus extra fields.
     pub fn request(op: &str, fields: Vec<(&str, Value)>) -> Value {
-        let mut object = vec![("op".to_owned(), Value::Str(op.to_owned()))];
-        object.extend(fields.into_iter().map(|(k, v)| (k.to_owned(), v)));
-        Value::Object(object)
+        let op = ("op", Value::Str(op.to_owned()));
+        crate::object(std::iter::once(op).chain(fields))
+    }
+
+    /// The `ingest` request for `paper`; the daemon assigns the id.
+    pub fn ingest_request(paper: &Paper) -> Value {
+        let authors = paper.authors.iter().map(|n| Value::U64(u64::from(n.0)));
+        Client::request(
+            "ingest",
+            vec![
+                ("authors", Value::Array(authors.collect())),
+                ("title", Value::Str(paper.title.clone())),
+                ("venue", Value::U64(u64::from(paper.venue.0))),
+                ("year", Value::U64(u64::from(paper.year))),
+            ],
+        )
     }
 }
 

@@ -43,7 +43,7 @@ use crate::replica::{ReplicaStatus, ReplicationHub, Role};
 use crate::snapshot::EpochStore;
 use crate::state::ServeState;
 use crate::wal::WalRecord;
-use crate::{read_capped_line, MAX_LINE_BYTES};
+use crate::{get, object, read_capped_line, MAX_LINE_BYTES};
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
@@ -111,12 +111,6 @@ pub struct DaemonStats {
     /// Follower reads shed because replication lag exceeded
     /// `max_lag_epochs` (bounded staleness, never silent staleness).
     pub shed_replica_lag: AtomicU64,
-    /// Record frames shipped to followers (gauge mirrored from the
-    /// replication hub at `stats` / `health` time; 0 off the primary).
-    pub shipped_records: AtomicU64,
-    /// Epochs this follower is behind the primary (gauge mirrored from
-    /// the replica link; 0 on the primary).
-    pub replica_lag_epochs: AtomicU64,
 }
 
 /// Per-name-group admission control: a counting semaphore per name.
@@ -594,22 +588,22 @@ fn handle_request(line: &str, ctx: &WorkerCtx) -> Value {
         ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("malformed request");
     };
-    let Some(fields) = request.as_object() else {
+    if request.as_object().is_none() {
         ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("request must be an object");
-    };
-    match get_str(fields, "op") {
-        Some("whois") => whois(fields, ctx),
-        Some("profile") => profile(fields, ctx),
-        Some("name_group") => name_group(fields, ctx),
-        Some("ingest") => ingest(fields, ctx),
-        Some("flush") => flush(ctx),
-        Some("checkpoint") => checkpoint(ctx),
-        Some("stats") => stats(ctx),
-        Some("health") => health(ctx),
-        Some("shutdown") => {
+    }
+    match get::<String>(&request, "op").as_deref() {
+        Ok("whois") => whois(&request, ctx),
+        Ok("profile") => profile(&request, ctx),
+        Ok("name_group") => name_group(&request, ctx),
+        Ok("ingest") => ingest(&request, ctx),
+        Ok("flush") => flush(ctx),
+        Ok("checkpoint") => checkpoint(ctx),
+        Ok("stats") => stats(ctx),
+        Ok("health") => health(ctx),
+        Ok("shutdown") => {
             ctx.shutdown.store(true, Ordering::Relaxed);
-            obj(vec![("ok", Value::Bool(true))])
+            object(vec![("ok", Value::Bool(true))])
         }
         _ => {
             ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
@@ -618,13 +612,25 @@ fn handle_request(line: &str, ctx: &WorkerCtx) -> Value {
     }
 }
 
-fn whois(fields: &[(String, Value)], ctx: &WorkerCtx) -> Value {
+/// The paper a `whois` or `ingest` request describes: `authors` plus the
+/// request's optional `title`, `venue` and `year`.
+fn request_paper(request: &Value, id: PaperId, authors: Vec<NameId>) -> Paper {
+    Paper {
+        id,
+        authors,
+        title: get(request, "title").unwrap_or_default(),
+        venue: VenueId(get::<u64>(request, "venue").unwrap_or(0) as u32),
+        year: get::<u64>(request, "year").unwrap_or(2000) as u16,
+    }
+}
+
+fn whois(request: &Value, ctx: &WorkerCtx) -> Value {
     ctx.stats.queries.fetch_add(1, Ordering::Relaxed);
     let staleness = match replica_gate(ctx) {
         Ok(staleness) => staleness,
         Err(shed) => return shed,
     };
-    let Some(name) = get_u64(fields, "name") else {
+    let Ok(name) = get::<u64>(request, "name") else {
         ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("whois requires a numeric `name`");
     };
@@ -646,37 +652,31 @@ fn whois(fields: &[(String, Value)], ctx: &WorkerCtx) -> Value {
         }
     }
     let mut authors = vec![NameId(name)];
-    if let Some(coauthors) = get_u32_list(fields, "coauthors") {
+    if let Ok(coauthors) = get::<Vec<u32>>(request, "coauthors") {
         authors.extend(coauthors.into_iter().map(NameId));
     }
     // The paper is transient — never registered — so the dummy id is fine:
     // the query path derives evidence from the paper itself, not from the
     // per-paper context tables.
-    let paper = Paper {
-        id: PaperId(u32::MAX),
-        authors,
-        title: get_str(fields, "title").unwrap_or("").to_owned(),
-        venue: VenueId(get_u64(fields, "venue").unwrap_or(0) as u32),
-        year: get_u64(fields, "year").unwrap_or(2000) as u16,
-    };
+    let paper = request_paper(request, PaperId(u32::MAX), authors);
     let snapshot = ctx.store.load();
     let decision = snapshot.whois(&paper, 0);
     decision_fields(snapshot.epoch, staleness, &decision)
 }
 
-fn profile(fields: &[(String, Value)], ctx: &WorkerCtx) -> Value {
+fn profile(request: &Value, ctx: &WorkerCtx) -> Value {
     ctx.stats.queries.fetch_add(1, Ordering::Relaxed);
     let staleness = match replica_gate(ctx) {
         Ok(staleness) => staleness,
         Err(shed) => return shed,
     };
-    let Some(vertex) = get_u64(fields, "vertex") else {
+    let Ok(vertex) = get::<u64>(request, "vertex") else {
         ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("profile requires a numeric `vertex`");
     };
     let snapshot = ctx.store.load();
     match snapshot.profile(VertexId(vertex as u32)) {
-        Some(view) => obj(vec![
+        Some(view) => object(vec![
             ("ok", Value::Bool(true)),
             ("epoch", Value::U64(snapshot.epoch)),
             ("staleness", Value::U64(staleness)),
@@ -697,13 +697,13 @@ fn profile(fields: &[(String, Value)], ctx: &WorkerCtx) -> Value {
     }
 }
 
-fn name_group(fields: &[(String, Value)], ctx: &WorkerCtx) -> Value {
+fn name_group(request: &Value, ctx: &WorkerCtx) -> Value {
     ctx.stats.queries.fetch_add(1, Ordering::Relaxed);
     let staleness = match replica_gate(ctx) {
         Ok(staleness) => staleness,
         Err(shed) => return shed,
     };
-    let Some(name) = get_u64(fields, "name") else {
+    let Ok(name) = get::<u64>(request, "name") else {
         ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("name_group requires a numeric `name`");
     };
@@ -713,7 +713,7 @@ fn name_group(fields: &[(String, Value)], ctx: &WorkerCtx) -> Value {
         .iter()
         .map(|v| Value::U64(u64::from(v.0)))
         .collect();
-    obj(vec![
+    object(vec![
         ("ok", Value::Bool(true)),
         ("epoch", Value::U64(snapshot.epoch)),
         ("staleness", Value::U64(staleness)),
@@ -721,12 +721,12 @@ fn name_group(fields: &[(String, Value)], ctx: &WorkerCtx) -> Value {
     ])
 }
 
-fn ingest(fields: &[(String, Value)], ctx: &WorkerCtx) -> Value {
+fn ingest(request: &Value, ctx: &WorkerCtx) -> Value {
     let Some(ingest_tx) = &ctx.ingest_tx else {
         ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("read-only replica: ingest at the primary");
     };
-    let Some(authors) = get_u32_list(fields, "authors") else {
+    let Ok(authors) = get::<Vec<u32>>(request, "authors") else {
         ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("ingest requires an `authors` array");
     };
@@ -734,13 +734,9 @@ fn ingest(fields: &[(String, Value)], ctx: &WorkerCtx) -> Value {
         ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("ingest requires a non-empty `authors` array");
     }
-    let paper = Paper {
-        id: PaperId(0), // rewritten by the ingest thread
-        authors: authors.into_iter().map(NameId).collect(),
-        title: get_str(fields, "title").unwrap_or("").to_owned(),
-        venue: VenueId(get_u64(fields, "venue").unwrap_or(0) as u32),
-        year: get_u64(fields, "year").unwrap_or(2000) as u16,
-    };
+    // The id is rewritten by the ingest thread.
+    let authors = authors.into_iter().map(NameId).collect();
+    let paper = request_paper(request, PaperId(0), authors);
     if WalRecord::widest_frame_len(&paper) > MAX_LINE_BYTES {
         ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response(&format!(
@@ -782,10 +778,10 @@ fn ingest(fields: &[(String, Value)], ctx: &WorkerCtx) -> Value {
                 .map(|(name, d)| {
                     let mut entry = vec![("name", Value::U64(u64::from(name.0)))];
                     entry.extend(decision_kind_fields(d));
-                    obj(entry)
+                    object(entry)
                 })
                 .collect();
-            obj(vec![
+            object(vec![
                 ("ok", Value::Bool(true)),
                 ("paper", Value::U64(u64::from(id.0))),
                 ("decisions", Value::Array(rendered)),
@@ -810,7 +806,7 @@ fn flush(ctx: &WorkerCtx) -> Value {
         return err_response("ingest unavailable");
     }
     match reply_rx.recv() {
-        Ok(epoch) => obj(vec![
+        Ok(epoch) => object(vec![
             ("ok", Value::Bool(true)),
             ("epoch", Value::U64(epoch)),
         ]),
@@ -830,7 +826,7 @@ fn checkpoint(ctx: &WorkerCtx) -> Value {
         return err_response("ingest unavailable");
     }
     match reply_rx.recv() {
-        Ok(Ok(meta)) => obj(vec![
+        Ok(Ok(meta)) => object(vec![
             ("ok", Value::Bool(true)),
             ("seq", Value::U64(meta.seq)),
             ("epoch", Value::U64(meta.epoch)),
@@ -843,75 +839,39 @@ fn checkpoint(ctx: &WorkerCtx) -> Value {
 
 fn stats(ctx: &WorkerCtx) -> Value {
     let snapshot = ctx.store.load();
-    // Mirror the replication gauges before reporting them, so a bare
-    // `stats` poll (no reads in between) still sees live positions.
-    if let Some(ship) = &ctx.ship {
-        ctx.stats
-            .shipped_records
-            .store(ship.shipped_frames(), Ordering::Relaxed);
-    }
-    if let Some(replica) = &ctx.replica {
-        ctx.stats
-            .replica_lag_epochs
-            .store(replica.status.lag_epochs(), Ordering::Relaxed);
-    }
     let held = ctx
         .store
         .epochs_still_held()
         .into_iter()
         .map(Value::U64)
         .collect();
-    obj(vec![
+    let s = &ctx.stats;
+    let counters = [
+        ("queries", &s.queries),
+        ("shed", &s.shed),
+        ("shed_admission", &s.shed_admission),
+        ("shed_ingest_full", &s.shed_ingest_full),
+        ("ingested", &s.ingested),
+        ("errors", &s.errors),
+        ("queue_depth", &s.queue_depth),
+        ("queue_hwm", &s.queue_hwm),
+        ("checkpoints", &s.checkpoints),
+        ("shed_replica_lag", &s.shed_replica_lag),
+    ]
+    .map(|(key, counter)| (key, Value::U64(counter.load(Ordering::Relaxed))));
+    let shipped = ctx.ship.as_ref().map_or(0, |ship| ship.shipped_frames());
+    let lag = ctx.replica.as_ref().map_or(0, |r| r.status.lag_epochs());
+    let head = [
         ("ok", Value::Bool(true)),
         ("role", Value::Str(ctx.role.to_owned())),
         ("epoch", Value::U64(snapshot.epoch)),
-        (
-            "queries",
-            Value::U64(ctx.stats.queries.load(Ordering::Relaxed)),
-        ),
-        ("shed", Value::U64(ctx.stats.shed.load(Ordering::Relaxed))),
-        (
-            "shed_admission",
-            Value::U64(ctx.stats.shed_admission.load(Ordering::Relaxed)),
-        ),
-        (
-            "shed_ingest_full",
-            Value::U64(ctx.stats.shed_ingest_full.load(Ordering::Relaxed)),
-        ),
-        (
-            "ingested",
-            Value::U64(ctx.stats.ingested.load(Ordering::Relaxed)),
-        ),
-        (
-            "errors",
-            Value::U64(ctx.stats.errors.load(Ordering::Relaxed)),
-        ),
-        (
-            "queue_depth",
-            Value::U64(ctx.stats.queue_depth.load(Ordering::Relaxed)),
-        ),
-        (
-            "queue_hwm",
-            Value::U64(ctx.stats.queue_hwm.load(Ordering::Relaxed)),
-        ),
-        (
-            "checkpoints",
-            Value::U64(ctx.stats.checkpoints.load(Ordering::Relaxed)),
-        ),
-        (
-            "shed_replica_lag",
-            Value::U64(ctx.stats.shed_replica_lag.load(Ordering::Relaxed)),
-        ),
-        (
-            "shipped_records",
-            Value::U64(ctx.stats.shipped_records.load(Ordering::Relaxed)),
-        ),
-        (
-            "replica_lag_epochs",
-            Value::U64(ctx.stats.replica_lag_epochs.load(Ordering::Relaxed)),
-        ),
+    ];
+    let tail = [
+        ("shipped_records", Value::U64(shipped)),
+        ("replica_lag_epochs", Value::U64(lag)),
         ("retained_epochs", Value::Array(held)),
-    ])
+    ];
+    object(head.into_iter().chain(counters).chain(tail))
 }
 
 fn decision_fields(epoch: u64, staleness: u64, decision: &Decision) -> Value {
@@ -921,7 +881,7 @@ fn decision_fields(epoch: u64, staleness: u64, decision: &Decision) -> Value {
         ("staleness", Value::U64(staleness)),
     ];
     fields.extend(decision_kind_fields(decision));
-    obj(fields)
+    object(fields)
 }
 
 fn decision_kind_fields(decision: &Decision) -> Vec<(&'static str, Value)> {
@@ -941,12 +901,8 @@ fn decision_kind_fields(decision: &Decision) -> Vec<(&'static str, Value)> {
     }
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
 fn err_response(message: &str) -> Value {
-    obj(vec![
+    object(vec![
         ("ok", Value::Bool(false)),
         ("error", Value::Str(message.to_owned())),
     ])
@@ -987,7 +943,6 @@ fn replica_gate(ctx: &WorkerCtx) -> Result<u64, Value> {
         return Ok(0);
     };
     let lag = replica.status.lag_epochs();
-    ctx.stats.replica_lag_epochs.store(lag, Ordering::Relaxed);
     if lag > replica.max_lag_epochs {
         ctx.stats.shed.fetch_add(1, Ordering::Relaxed);
         ctx.stats.shed_replica_lag.fetch_add(1, Ordering::Relaxed);
@@ -1002,39 +957,21 @@ fn replica_gate(ctx: &WorkerCtx) -> Result<u64, Value> {
 /// of reading ever-staler snapshots until the lag bound trips.
 fn health(ctx: &WorkerCtx) -> Value {
     let snapshot = ctx.store.load();
-    let mut ok = true;
-    let mut fields = Vec::new();
-    let (primary_epoch, lag, connected) = match &ctx.replica {
-        Some(replica) => {
-            if let Some(failure) = replica.status.failure() {
-                ok = false;
-                fields.push(("error", Value::Str(failure)));
-            }
-            let lag = replica.status.lag_epochs();
-            ctx.stats.replica_lag_epochs.store(lag, Ordering::Relaxed);
-            (
-                replica.status.primary_epoch(),
-                lag,
-                replica.status.connected(),
-            )
-        }
-        None => (snapshot.epoch, 0, true),
-    };
-    if let Some(ship) = &ctx.ship {
-        ctx.stats
-            .shipped_records
-            .store(ship.shipped_frames(), Ordering::Relaxed);
-    }
+    let status = ctx.replica.as_ref().map(|replica| &replica.status);
+    let failure = status.and_then(|s| s.failure());
+    let (primary_epoch, lag, connected) = status.map_or((snapshot.epoch, 0, true), |s| {
+        (s.primary_epoch(), s.lag_epochs(), s.connected())
+    });
     let mut response = vec![
-        ("ok", Value::Bool(ok)),
+        ("ok", Value::Bool(failure.is_none())),
         ("role", Value::Str(ctx.role.to_owned())),
         ("epoch", Value::U64(snapshot.epoch)),
         ("primary_epoch", Value::U64(primary_epoch)),
         ("lag_epochs", Value::U64(lag)),
         ("connected", Value::Bool(connected)),
     ];
-    response.append(&mut fields);
-    obj(response)
+    response.extend(failure.map(|failure| ("error", Value::Str(failure))));
+    object(response)
 }
 
 /// The backlog a shed ingest reports. The relaxed `queue_depth` gauge is
@@ -1053,44 +990,13 @@ fn shed_ingest_backlog(gauge_depth: u64, capacity: u64) -> u64 {
 /// the backlog the request would have joined (in-flight whois count for
 /// admission, queued papers for ingest).
 fn shed_response(cause: &str, retry_after_ms: u64, queue_depth: u64) -> Value {
-    obj(vec![
+    object(vec![
         ("ok", Value::Bool(false)),
         ("shed", Value::Bool(true)),
         ("cause", Value::Str(cause.to_owned())),
         ("retry_after_ms", Value::U64(retry_after_ms)),
         ("queue_depth", Value::U64(queue_depth)),
     ])
-}
-
-fn get<'v>(fields: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_u64(fields: &[(String, Value)], key: &str) -> Option<u64> {
-    match get(fields, key)? {
-        Value::U64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn get_str<'v>(fields: &'v [(String, Value)], key: &str) -> Option<&'v str> {
-    match get(fields, key)? {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn get_u32_list(fields: &[(String, Value)], key: &str) -> Option<Vec<u32>> {
-    match get(fields, key)? {
-        Value::Array(items) => items
-            .iter()
-            .map(|v| match v {
-                Value::U64(n) => Some(*n as u32),
-                _ => None,
-            })
-            .collect(),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

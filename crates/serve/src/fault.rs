@@ -118,20 +118,10 @@ impl CrashPoint {
         }
     }
 
+    /// Position in [`CrashPoint::ALL`]: the enum is fieldless and
+    /// declared in that order.
     fn index(self) -> usize {
-        match self {
-            CrashPoint::AfterWalAppend => 0,
-            CrashPoint::MidRecordWrite => 1,
-            CrashPoint::BeforePublish => 2,
-            CrashPoint::AfterPublish => 3,
-            CrashPoint::MidCheckpointWrite => 4,
-            CrashPoint::AfterCheckpointRename => 5,
-            CrashPoint::MidShipFrame => 6,
-            CrashPoint::FollowerBeforeApply => 7,
-            CrashPoint::FollowerAfterApply => 8,
-            CrashPoint::LinkPartition => 9,
-            CrashPoint::PrimaryDeath => 10,
-        }
+        self as usize
     }
 }
 
@@ -200,12 +190,6 @@ impl FaultInjector {
         let mut state = self.inner.lock().expect("fault injector poisoned");
         state.crash = Some((point, nth.max(1)));
         state.hits = [0; POINTS];
-    }
-
-    /// Disarm any scheduled kill (hit counters keep running).
-    pub fn disarm_crash(&self) {
-        let mut state = self.inner.lock().expect("fault injector poisoned");
-        state.crash = None;
     }
 
     /// Arm a stall of `ms` milliseconds on every `every`-th `whois`

@@ -56,6 +56,8 @@
 
 use std::io::{BufRead, Read};
 
+use serde::{DeError, Deserialize, Value};
+
 pub mod checkpoint;
 pub mod client;
 pub mod crash;
@@ -83,7 +85,7 @@ pub use replica::{
 };
 pub use snapshot::{EpochStore, ProfileView, Snapshot};
 pub use state::{Recovery, ServeState};
-pub use wal::{read_wal, Wal, WalDecision, WalRecord};
+pub use wal::{read_wal, Wal, WalRecord};
 
 /// Most bytes one daemon request line or replication frame may hold,
 /// newline included. A peer that sends more without a newline is refused
@@ -92,6 +94,19 @@ pub use wal::{read_wal, Wal, WalDecision, WalRecord};
 /// cap ([`WalRecord::widest_frame_len`]), so every record it ships fits a
 /// follower's frame read.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// A JSON object with `fields`, in order: every request, response and
+/// tagged frame the crate encodes by hand is built by this.
+pub(crate) fn object<'k>(fields: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
+/// Field `key` of the object `v`, decoded as `T`. An absent field decodes
+/// from `null`, as a derived decoder reads a missing `Option`; every
+/// request and tagged frame the crate decodes by hand is read by this.
+pub(crate) fn get<T: Deserialize>(v: &Value, key: &str) -> Result<T, DeError> {
+    T::from_value(response_field(v, key).unwrap_or(&Value::Null))
+}
 
 /// Append one `\n`-terminated line from `reader` to `buf`, buffering at
 /// most one byte past [`MAX_LINE_BYTES`]. Returns the bytes appended (0 at

@@ -23,7 +23,7 @@ use crate::daemon::{Daemon, DaemonConfig};
 use crate::fault::{splitmix, CrashPoint, FaultInjector};
 use crate::replica::{Follower, FollowerConfig, ReplicationHub, ReplicationServer};
 use crate::state::ServeState;
-use crate::wal::{read_wal, Wal};
+use crate::wal::Wal;
 
 /// What the CI smoke observed. See [`SmokeOutcome::passed`].
 #[derive(Debug, Clone, Serialize)]
@@ -62,33 +62,12 @@ impl SmokeOutcome {
     }
 }
 
-fn ingest_request(paper: &Paper) -> Value {
-    Client::request(
-        "ingest",
-        vec![
-            (
-                "authors",
-                Value::Array(
-                    paper
-                        .authors
-                        .iter()
-                        .map(|n| Value::U64(u64::from(n.0)))
-                        .collect(),
-                ),
-            ),
-            ("title", Value::Str(paper.title.clone())),
-            ("venue", Value::U64(u64::from(paper.venue.0))),
-            ("year", Value::U64(u64::from(paper.year))),
-        ],
-    )
-}
-
 /// Stream one paper through [`Client::call_with_backoff`]: sheds are
 /// retried on the server's `retry_after_ms` pacing with seeded jitter
 /// (derived from the paper id, so runs replay exactly), and a stream that
 /// stays shed through the full budget is a failure.
 fn ingest_with_retry(client: &mut Client, paper: &Paper) -> bool {
-    let request = ingest_request(paper);
+    let request = Client::ingest_request(paper);
     let backoff = Backoff {
         attempts: 60,
         base_ms: 2,
@@ -99,6 +78,16 @@ fn ingest_with_retry(client: &mut Client, paper: &Paper) -> bool {
         Ok(response) => response_ok(&response),
         Err(_) => false,
     }
+}
+
+/// The seeded corpus both smokes fit and stream.
+fn smoke_corpus() -> Corpus {
+    Corpus::generate(&CorpusConfig {
+        num_authors: 150,
+        num_papers: 560,
+        seed: 0x10ad_5eed,
+        ..CorpusConfig::default()
+    })
 }
 
 /// Names ranked by how often they appear on the corpus' papers; the head
@@ -115,35 +104,40 @@ fn names_by_frequency(corpus: &Corpus) -> Vec<u32> {
     ranked.into_iter().map(|(name, _)| name).collect()
 }
 
-fn whois_request(name: u32) -> Value {
-    Client::request(
-        "whois",
-        vec![
-            ("name", Value::U64(u64::from(name))),
-            ("title", Value::Str("stable collaboration probe".to_owned())),
-            ("venue", Value::U64(0)),
-            ("year", Value::U64(2021)),
-        ],
-    )
+/// One read of the smokes' skewed query mix, aimed by the seeded `roll`:
+/// a `whois` (kind 0), a `profile` (kind 1) or a `name_group`.
+fn read_request(kind: u64, roll: u64, names: &[u32], num_vertices: usize) -> Value {
+    let name = Value::U64(u64::from(names[roll as usize % names.len()]));
+    match kind {
+        0 => Client::request(
+            "whois",
+            vec![
+                ("name", name),
+                ("title", Value::Str("stable collaboration probe".to_owned())),
+                ("venue", Value::U64(0)),
+                ("year", Value::U64(2021)),
+            ],
+        ),
+        1 => Client::request(
+            "profile",
+            vec![("vertex", Value::U64(roll % num_vertices as u64))],
+        ),
+        _ => Client::request("name_group", vec![("name", name)]),
+    }
 }
 
 /// The end-to-end CI smoke (see module docs). Uses a WAL under the OS
 /// temp directory; the file is removed on success.
 ///
 /// # Panics
-/// On daemon spawn, connection, or WAL I/O failure.
+/// On daemon spawn, connection, WAL I/O or recovery failure.
 pub fn run_smoke() -> SmokeOutcome {
     let dir = std::env::temp_dir().join("iuad-serve-smoke");
     std::fs::create_dir_all(&dir).expect("create smoke dir");
     let wal_path = dir.join("smoke.wal");
+    crate::checkpoint::scrub_wal_and_checkpoints(&wal_path);
 
-    let corpus = Corpus::generate(&CorpusConfig {
-        num_authors: 150,
-        num_papers: 560,
-        seed: 0x10ad_5eed,
-        ..CorpusConfig::default()
-    });
-    let (base, tail) = corpus.split_tail(55);
+    let (base, tail) = smoke_corpus().split_tail(55);
     let fit = || Iuad::fit(&base, &IuadConfig::default());
 
     let state = ServeState::new(fit(), Some(Wal::create(&wal_path).expect("create WAL")));
@@ -172,20 +166,8 @@ pub fn run_smoke() -> SmokeOutcome {
                     let mut client = Client::connect(addr).expect("connect query client");
                     for i in 0..100usize {
                         let roll = splitmix(&mut rng);
-                        let request = match i % 4 {
-                            0 | 1 => whois_request(names[roll as usize % names.len()]),
-                            2 => Client::request(
-                                "profile",
-                                vec![("vertex", Value::U64(roll % num_vertices as u64))],
-                            ),
-                            _ => Client::request(
-                                "name_group",
-                                vec![(
-                                    "name",
-                                    Value::U64(u64::from(names[roll as usize % names.len()])),
-                                )],
-                            ),
-                        };
+                        let kind = [0, 0, 1, 2][i % 4];
+                        let request = read_request(kind, roll, names, num_vertices);
                         match client.call(&request) {
                             Ok(response) => {
                                 if !response_ok(&response) && !response_shed(&response) {
@@ -224,8 +206,9 @@ pub fn run_smoke() -> SmokeOutcome {
     let live = daemon.shutdown();
     let live_fingerprint = live.fingerprint();
 
-    let records = read_wal(&wal_path).expect("read WAL back");
-    let replayed = ServeState::replay(fit(), &records);
+    let recovery = ServeState::recover(fit(), &wal_path).expect("recover from the WAL");
+    assert_eq!(recovery.checkpoint_seq, None, "the smoke never checkpoints");
+    let replayed = recovery.state;
     let replay_fingerprint = replayed.fingerprint();
     let engine_diff = replayed.engine().diff_from(live.engine());
 
@@ -311,13 +294,7 @@ pub fn run_replica_smoke() -> ReplicaSmokeOutcome {
     let wal_path = dir.join("replica-smoke.wal");
     crate::checkpoint::scrub_wal_and_checkpoints(&wal_path);
 
-    let corpus = Corpus::generate(&CorpusConfig {
-        num_authors: 150,
-        num_papers: 560,
-        seed: 0x10ad_5eed,
-        ..CorpusConfig::default()
-    });
-    let (base, tail) = corpus.split_tail(55);
+    let (base, tail) = smoke_corpus().split_tail(55);
     let fit = Iuad::fit(&base, &IuadConfig::default());
     // The shared bootstrap base: the primary and both followers clone it,
     // so followers start at cursor 0 and catch up over the wire.
@@ -438,27 +415,14 @@ pub fn run_replica_smoke() -> ReplicaSmokeOutcome {
             failover_completed = true;
         }
 
-        match failover.call_primary(&ingest_request(paper)) {
+        match failover.call_primary(&Client::ingest_request(paper)) {
             Ok(response) if response_ok(&response) => {}
             _ => client_errors += 1,
         }
 
         for k in 0..3u64 {
             let roll = splitmix(&mut rng);
-            let request = match (i as u64 * 3 + k) % 3 {
-                0 => whois_request(names[roll as usize % names.len()]),
-                1 => Client::request(
-                    "profile",
-                    vec![("vertex", Value::U64(roll % num_vertices as u64))],
-                ),
-                _ => Client::request(
-                    "name_group",
-                    vec![(
-                        "name",
-                        Value::U64(u64::from(names[roll as usize % names.len()])),
-                    )],
-                ),
-            };
+            let request = read_request(k, roll, &names, num_vertices);
             match failover.call_read(&request) {
                 Ok(response) => {
                     if response_ok(&response) {

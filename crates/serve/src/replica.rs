@@ -2,7 +2,7 @@
 //!
 //! The primary's durable stream — paper records with their recorded
 //! decisions, plus epoch-publish markers — is exactly what rebuilds its
-//! state bit for bit (that is what [`crate::ServeState::replay`] and the
+//! state bit for bit (that is what [`crate::ServeState::recover`] and the
 //! crash matrix prove). So replication is WAL shipping: a
 //! [`ReplicationHub`] holds the full durable history (seeded from
 //! [`crate::ServeState::durable_history`], appended to only *after* each
@@ -11,7 +11,10 @@
 //! `LEN<TAB>JSON\n` framing), and each follower's [`ReplicaLink`] applies
 //! the records one at a time through [`crate::ServeState::apply_record`]
 //! — the same resume/gap semantics as recovery, so a reconnect resumes
-//! idempotently and a gap is refused, never papered over.
+//! idempotently and a gap is refused, never papered over. Every frame is
+//! typed: [`SyncFrame`] for the handshake, `ShipFrame` for the stream,
+//! each defined once here and decoded once as it is read; a frame that is
+//! torn or has the wrong shape drops the link, and the handshake resyncs.
 //!
 //! The **cursor handshake** makes reconnects exact: a follower's cursor is
 //! `papers_ingested + epoch` — the number of WAL records its state
@@ -47,14 +50,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use iuad_corpus::Paper;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::daemon::{Admission, DaemonStats, ReplicaReadCtx, RequestPlane, WorkerCtx};
 use crate::fault::{splitmix, CrashPoint, FaultInjector, SimulatedCrash};
 use crate::read_capped_line;
 use crate::snapshot::EpochStore;
 use crate::state::{RecordOutcome, ServeState};
-use crate::wal::{frame, unframe, Wal, WalRecord};
+use crate::wal::{frame, record_value, unframe, Wal, WalRecord};
+use crate::{get, object};
 
 /// Which side of the replication stream a daemon is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,53 +88,91 @@ impl Role {
     }
 }
 
-/// A replication handshake frame. The vendored `serde_derive` supports
-/// structs only, so one tagged struct covers all three shapes: the
-/// follower's `t == "sync"` (cursor = records its state already embodies),
-/// the primary's `t == "hello"` acceptance (echoed cursor + current
-/// epoch), and the primary's `t == "refused"` rejection (reason in
-/// `error`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SyncFrame {
-    /// `"sync"`, `"hello"`, or `"refused"`.
-    pub t: String,
-    /// Resume cursor (records already embodied / accepted from).
-    pub cursor: Option<u64>,
-    /// Sender's current epoch.
-    pub epoch: Option<u64>,
-    /// Refusal reason, for `t == "refused"`.
-    pub error: Option<String>,
+/// A replication handshake frame: the follower's resume request, then
+/// the primary's acceptance or refusal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SyncFrame {
+    /// The follower's resume request.
+    Sync {
+        /// WAL records the follower's state already embodies.
+        cursor: u64,
+        /// The follower's current epoch.
+        epoch: u64,
+    },
+    /// The primary's acceptance.
+    Hello {
+        /// The echoed cursor records are shipped from.
+        cursor: u64,
+        /// The primary's current epoch.
+        epoch: u64,
+    },
+    /// The primary's refusal, with its reason.
+    Refused(String),
 }
 
-impl SyncFrame {
-    /// A follower's resume request.
-    pub fn sync(cursor: u64, epoch: u64) -> SyncFrame {
-        SyncFrame {
-            t: "sync".to_owned(),
-            cursor: Some(cursor),
-            epoch: Some(epoch),
-            error: None,
+impl Serialize for SyncFrame {
+    fn to_value(&self) -> Value {
+        let (t, cursor, epoch, error) = match self {
+            SyncFrame::Sync { cursor, epoch } => ("sync", Some(cursor), Some(epoch), None),
+            SyncFrame::Hello { cursor, epoch } => ("hello", Some(cursor), Some(epoch), None),
+            SyncFrame::Refused(reason) => ("refused", None, None, Some(reason)),
+        };
+        object([
+            ("t", Value::Str(t.to_owned())),
+            ("cursor", cursor.to_value()),
+            ("epoch", epoch.to_value()),
+            ("error", error.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for SyncFrame {
+    fn from_value(v: &Value) -> Result<SyncFrame, DeError> {
+        match get::<String>(v, "t")?.as_str() {
+            "sync" => Ok(SyncFrame::Sync {
+                cursor: get(v, "cursor")?,
+                epoch: get(v, "epoch")?,
+            }),
+            "hello" => Ok(SyncFrame::Hello {
+                cursor: get(v, "cursor")?,
+                epoch: get(v, "epoch")?,
+            }),
+            "refused" => Ok(SyncFrame::Refused(get(v, "error")?)),
+            other => Err(DeError::custom(format!("unknown handshake tag `{other}`"))),
         }
     }
+}
 
-    /// The primary's acceptance.
-    pub fn hello(cursor: u64, epoch: u64) -> SyncFrame {
-        SyncFrame {
-            t: "hello".to_owned(),
-            cursor: Some(cursor),
-            epoch: Some(epoch),
-            error: None,
+/// One frame of the ship stream after the handshake: a durable record,
+/// or a heartbeat carrying the primary's epoch. Heartbeats are never
+/// logged or applied; they keep an idle follower's view of the primary's
+/// epoch fresh, so staleness stays measurable between records. A
+/// heartbeat frames like an epoch marker tagged `"hb"`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum ShipFrame {
+    /// A record of the primary's durable history.
+    Record(WalRecord),
+    /// The primary's current epoch.
+    Heartbeat(u64),
+}
+
+impl Serialize for ShipFrame {
+    fn to_value(&self) -> Value {
+        match self {
+            ShipFrame::Record(record) => record.to_value(),
+            ShipFrame::Heartbeat(epoch) => {
+                record_value("hb", epoch.to_value(), Value::Null, Value::Null)
+            }
         }
     }
+}
 
-    /// The primary's rejection.
-    pub fn refused(reason: &str) -> SyncFrame {
-        SyncFrame {
-            t: "refused".to_owned(),
-            cursor: None,
-            epoch: None,
-            error: Some(reason.to_owned()),
+impl Deserialize for ShipFrame {
+    fn from_value(v: &Value) -> Result<ShipFrame, DeError> {
+        if get::<String>(v, "t")? == "hb" {
+            return Ok(ShipFrame::Heartbeat(get(v, "epoch")?));
         }
+        WalRecord::from_value(v).map(ShipFrame::Record)
     }
 }
 
@@ -153,10 +195,11 @@ enum FrameRead<T> {
 /// is the caller's accumulator and must persist between calls: a timeout
 /// mid-frame leaves the prefix in `buf`, and the next call appends the
 /// rest. A frame [`unframe`] rejects — torn ship, EOF mid-frame, bad
-/// UTF-8 or JSON — is an [`ErrorKind::InvalidData`] error (drop the
-/// connection; the cursor handshake resyncs, mirroring how WAL replay
-/// drops a torn tail), and so is a frame past [`crate::MAX_LINE_BYTES`],
-/// which is never buffered beyond one byte over the cap.
+/// UTF-8 or JSON, or the wrong shape — is an [`ErrorKind::InvalidData`]
+/// error (drop the connection; the cursor handshake resyncs, mirroring how
+/// WAL replay drops a torn tail), and so is a frame past
+/// [`crate::MAX_LINE_BYTES`], which is never buffered beyond one byte over
+/// the cap.
 fn read_frame<T: Deserialize>(
     reader: &mut BufReader<TcpStream>,
     buf: &mut Vec<u8>,
@@ -234,8 +277,10 @@ impl ReplicationHub {
     pub fn new(history: Vec<WalRecord>) -> Arc<ReplicationHub> {
         let epoch = history
             .iter()
-            .filter(|r| r.t == "epoch")
-            .filter_map(|r| r.epoch)
+            .filter_map(|r| match r {
+                &WalRecord::Epoch(epoch) => Some(epoch),
+                WalRecord::Paper { .. } => None,
+            })
             .max()
             .unwrap_or(0);
         Arc::new(ReplicationHub {
@@ -254,10 +299,8 @@ impl ReplicationHub {
     /// the primary's ingest path strictly after the WAL append returned.
     pub fn append(&self, record: WalRecord) {
         let mut state = self.state.lock().expect("replication hub poisoned");
-        if record.t == "epoch" {
-            if let Some(epoch) = record.epoch {
-                state.epoch = state.epoch.max(epoch);
-            }
+        if let WalRecord::Epoch(epoch) = record {
+            state.epoch = state.epoch.max(epoch);
         }
         state.records.push(record);
         drop(state);
@@ -416,43 +459,39 @@ fn sender(
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let mut buf = Vec::new();
-    let sync: SyncFrame = match read_frame(&mut reader, &mut buf) {
-        Ok(FrameRead::Frame(sync)) => sync,
+    let refuse = |writer: &mut TcpStream, reason: &str| {
+        let _ = send(writer, &SyncFrame::Refused(reason.to_owned()));
+    };
+    let mut cursor = match read_frame(&mut reader, &mut buf) {
+        Ok(FrameRead::Frame(SyncFrame::Sync { cursor, .. })) => cursor,
         Err(e) if e.kind() == ErrorKind::InvalidData => {
-            let _ = send(&mut writer, &SyncFrame::refused(&e.to_string()));
-            return;
+            return refuse(&mut writer, &e.to_string());
         }
         _ => return,
     };
-    if sync.t != "sync" {
-        return;
-    }
-    let mut cursor = sync.cursor.unwrap_or(0);
     if hub.partitioned() {
-        let _ = send(&mut writer, &SyncFrame::refused("link partitioned"));
-        return;
+        return refuse(&mut writer, "link partitioned");
     }
     if hub.closed() {
-        let _ = send(&mut writer, &SyncFrame::refused("primary shutting down"));
-        return;
+        return refuse(&mut writer, "primary shutting down");
     }
     if cursor > hub.cursor() {
         // The follower's state embodies records this hub has never seen —
         // that is a gap (split brain / wrong primary), not a resume.
-        let _ = send(
-            &mut writer,
-            &SyncFrame::refused("cursor ahead of the primary's history"),
-        );
-        return;
+        return refuse(&mut writer, "cursor ahead of the primary's history");
     }
-    if send(&mut writer, &SyncFrame::hello(cursor, hub.epoch())).is_err() {
+    let hello = SyncFrame::Hello {
+        cursor,
+        epoch: hub.epoch(),
+    };
+    if send(&mut writer, &hello).is_err() {
         return;
     }
     while !stop.load(Ordering::Relaxed) {
         match hub.next_batch(cursor, Duration::from_millis(50)) {
             Batch::Closed => return,
             Batch::Heartbeat(epoch) => {
-                if send(&mut writer, &WalRecord::heartbeat(epoch)).is_err() {
+                if send(&mut writer, &ShipFrame::Heartbeat(epoch)).is_err() {
                     return;
                 }
             }
@@ -462,11 +501,13 @@ fn sender(
                 // behind it is *now*, not when it finally drains — which
                 // is what lets the bounded-staleness gate trip while the
                 // records are still in flight.
-                if send(&mut writer, &WalRecord::heartbeat(hub.epoch())).is_err() {
+                if send(&mut writer, &ShipFrame::Heartbeat(hub.epoch())).is_err() {
                     return;
                 }
                 for record in records {
-                    let Ok(bytes) = frame(&record) else { return };
+                    let Ok(bytes) = frame(&ShipFrame::Record(record)) else {
+                        return;
+                    };
                     if let Some(faults) = &faults {
                         if faults.hit(CrashPoint::MidShipFrame) {
                             // Torn ship: a seeded prefix of the frame
@@ -647,13 +688,12 @@ fn drain_ready(
     if reader.get_ref().set_nonblocking(true).is_err() {
         return;
     }
-    while let Ok(FrameRead::Frame(record)) = read_frame::<WalRecord>(reader, buf) {
-        if record.t == "hb" {
-            status
-                .primary_epoch
-                .fetch_max(record.epoch.unwrap_or(0), Ordering::Relaxed);
-        } else {
-            pending.push_back(record);
+    while let Ok(FrameRead::Frame(frame)) = read_frame(reader, buf) {
+        match frame {
+            ShipFrame::Heartbeat(epoch) => {
+                status.primary_epoch.fetch_max(epoch, Ordering::Relaxed);
+            }
+            ShipFrame::Record(record) => pending.push_back(record),
         }
     }
     let _ = reader.get_ref().set_nonblocking(false);
@@ -698,28 +738,29 @@ fn link_loop(
         // Cursor handshake: the cursor is derived from the state itself —
         // papers applied + epochs published = WAL records embodied.
         let cursor = state.papers_ingested() + state.epoch();
-        if send(&mut writer, &SyncFrame::sync(cursor, state.epoch())).is_err() {
+        let sync = SyncFrame::Sync {
+            cursor,
+            epoch: state.epoch(),
+        };
+        if send(&mut writer, &sync).is_err() {
             failures = failures.saturating_add(1);
             continue;
         }
         let deadline = Instant::now() + Duration::from_millis(2000);
-        let hello: SyncFrame =
-            match read_frame_deadline(&mut reader, &mut buf, deadline, &status.stop) {
-                Ok(FrameRead::Frame(hello)) => hello,
-                _ => {
-                    failures = failures.saturating_add(1);
-                    continue;
-                }
-            };
-        if hello.t != "hello" {
-            // Refused (partition window, shutdown, or cursor gap): retry
-            // under backoff; a partition eventually expires.
+        // Refused (partition window, shutdown, or cursor gap), a bad
+        // frame, or no answer: retry under backoff; a partition eventually
+        // expires.
+        let Ok(FrameRead::Frame(SyncFrame::Hello {
+            epoch: primary_epoch,
+            ..
+        })) = read_frame_deadline(&mut reader, &mut buf, deadline, &status.stop)
+        else {
             failures = failures.saturating_add(1);
             continue;
-        }
+        };
         status
             .primary_epoch
-            .fetch_max(hello.epoch.unwrap_or(0), Ordering::Relaxed);
+            .fetch_max(primary_epoch, Ordering::Relaxed);
         status.connected.store(true, Ordering::Relaxed);
         status.connects.fetch_add(1, Ordering::Relaxed);
         failures = 0;
@@ -733,22 +774,20 @@ fn link_loop(
                 status.connected.store(false, Ordering::Relaxed);
                 break 'outer;
             }
-            let record: WalRecord = match pending.pop_front() {
+            let record = match pending.pop_front() {
                 Some(record) => record,
                 None => match read_frame(&mut reader, &mut buf) {
-                    Ok(FrameRead::Frame(record)) => record,
+                    Ok(FrameRead::Frame(ShipFrame::Record(record))) => record,
+                    Ok(FrameRead::Frame(ShipFrame::Heartbeat(epoch))) => {
+                        status.primary_epoch.fetch_max(epoch, Ordering::Relaxed);
+                        continue;
+                    }
                     Ok(FrameRead::TimedOut) => continue,
-                    // Closed, torn frame, or transport error: reconnect
-                    // and resync from the state-derived cursor.
+                    // Closed, torn or misshapen frame, or transport error:
+                    // reconnect and resync from the state-derived cursor.
                     Ok(FrameRead::Closed) | Err(_) => break,
                 },
             };
-            if record.t == "hb" {
-                status
-                    .primary_epoch
-                    .fetch_max(record.epoch.unwrap_or(0), Ordering::Relaxed);
-                continue;
-            }
             // Before a (possibly slow) apply, sweep the wire so fresher
             // heartbeats move the staleness horizon now, not after the
             // backlog drains.
@@ -1279,12 +1318,12 @@ mod tests {
 
     #[test]
     fn frames_roundtrip_and_tears_are_detected() {
-        let sync = SyncFrame::sync(17, 3);
+        let sync = SyncFrame::Sync {
+            cursor: 17,
+            epoch: 3,
+        };
         let bytes = frame(&sync).unwrap();
-        let back: SyncFrame = unframe(&bytes).unwrap();
-        assert_eq!(back.t, "sync");
-        assert_eq!(back.cursor, Some(17));
-        assert_eq!(back.epoch, Some(3));
+        assert_eq!(unframe::<SyncFrame>(&bytes).unwrap(), sync);
 
         // A torn prefix (with the newline forced back on, as a partial
         // flush could leave it) fails the declared-length check.
@@ -1295,7 +1334,7 @@ mod tests {
 
     #[test]
     fn hub_serves_cursors_heartbeats_and_close() {
-        let hub = ReplicationHub::new(vec![WalRecord::epoch(1), WalRecord::epoch(2)]);
+        let hub = ReplicationHub::new(vec![WalRecord::Epoch(1), WalRecord::Epoch(2)]);
         assert_eq!(hub.cursor(), 2);
         assert_eq!(hub.epoch(), 2);
         match hub.next_batch(0, Duration::from_millis(1)) {
@@ -1306,7 +1345,7 @@ mod tests {
             Batch::Heartbeat(epoch) => assert_eq!(epoch, 2),
             _ => panic!("caught-up cursor heartbeats"),
         }
-        hub.append(WalRecord::epoch(3));
+        hub.append(WalRecord::Epoch(3));
         assert_eq!(hub.cursor(), 3);
         assert_eq!(hub.epoch(), 3);
         hub.close();

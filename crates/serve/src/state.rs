@@ -32,7 +32,7 @@ use crate::checkpoint::{
 use crate::fault::{CrashPoint, FaultInjector};
 use crate::fingerprint::partition_fingerprint;
 use crate::snapshot::Snapshot;
-use crate::wal::{read_wal, Wal, WalDecision, WalRecord};
+use crate::wal::{read_wal, Wal, WalRecord};
 
 /// Live mutable serving state (owned by the daemon's ingest thread).
 #[derive(Debug)]
@@ -180,11 +180,10 @@ impl ServeState {
         self.ctx.register_paper(&paper);
         let decisions = self.apply(&paper);
         if let Some(wal) = &mut self.wal {
-            let logged = decisions
-                .iter()
-                .map(|(_, d)| WalDecision::from_decision(d))
-                .collect();
-            let record = WalRecord::paper(paper.clone(), logged);
+            let record = WalRecord::Paper {
+                paper: paper.clone(),
+                decisions: decisions.iter().map(|&(_, d)| d).collect(),
+            };
             wal.append(&record)
                 .expect("WAL append failed; refusing to acknowledge ingest");
             if let Some(ship) = &self.ship {
@@ -223,7 +222,7 @@ impl ServeState {
     /// corrupt the rebuilt network. Absorbing needs only each mention's
     /// single-paper profile, not the structural evidence a live decision
     /// gathers.
-    fn apply_recorded(&mut self, paper: &Paper, decisions: &[WalDecision]) -> Result<(), String> {
+    fn apply_recorded(&mut self, paper: &Paper, decisions: &[Decision]) -> Result<(), String> {
         if decisions.len() != paper.authors.len() {
             return Err(format!(
                 "record for paper {} carries {} decisions for {} author slots",
@@ -232,10 +231,7 @@ impl ServeState {
                 paper.authors.len()
             ));
         }
-        for (slot, (recorded, &name)) in decisions.iter().zip(&paper.authors).enumerate() {
-            let decision = recorded
-                .to_decision()
-                .map_err(|e| format!("paper {} slot {slot}: {e}", paper.id.0))?;
+        for (slot, (&decision, &name)) in decisions.iter().zip(&paper.authors).enumerate() {
             if let Decision::Existing { vertex, .. } = decision {
                 if vertex.index() >= self.network.graph.num_vertices() {
                     return Err(format!(
@@ -274,9 +270,10 @@ impl ServeState {
     /// WAL tail after a checkpoint (including the crash window where the
     /// checkpoint renamed but the WAL was not yet truncated) safe. After
     /// the skips, any discontinuity (a paper-id gap, an epoch marker that
-    /// is not the next epoch, a malformed record) is an error: a gap means
-    /// records exist only in a checkpoint we could not read, and a wrong
-    /// state must never be served. Returns the number of records applied.
+    /// is not the next epoch, a decision the network cannot hold) is an
+    /// error: a gap means records exist only in a checkpoint we could not
+    /// read, and a wrong state must never be served. Returns the number of
+    /// records applied.
     pub fn apply_records(&mut self, records: &[WalRecord], resume: bool) -> Result<usize, String> {
         let mut applied = 0usize;
         for record in records {
@@ -297,13 +294,8 @@ impl ServeState {
         record: &WalRecord,
         resume: bool,
     ) -> Result<RecordOutcome, String> {
-        match record.t.as_str() {
-            "paper" => {
-                let paper = record.paper.as_ref().ok_or("paper record without paper")?;
-                let decisions = record
-                    .decisions
-                    .as_ref()
-                    .ok_or("paper record without decisions")?;
+        match record {
+            WalRecord::Paper { paper, decisions } => {
                 if resume && paper.id.0 < self.next_paper {
                     return Ok(RecordOutcome::Skipped);
                 }
@@ -320,8 +312,7 @@ impl ServeState {
                 self.papers_ingested += 1;
                 Ok(RecordOutcome::Paper)
             }
-            "epoch" => {
-                let marker = record.epoch.ok_or("epoch record without epoch")?;
+            &WalRecord::Epoch(marker) => {
                 if resume && marker <= self.epoch {
                     return Ok(RecordOutcome::Skipped);
                 }
@@ -333,7 +324,6 @@ impl ServeState {
                 }
                 Ok(RecordOutcome::Published(Box::new(self.publish())))
             }
-            other => Err(format!("unknown WAL record tag `{other}`")),
         }
     }
 
@@ -352,7 +342,7 @@ impl ServeState {
         self.touched.clear();
         self.epoch += 1;
         if let Some(wal) = &mut self.wal {
-            let record = WalRecord::epoch(self.epoch);
+            let record = WalRecord::Epoch(self.epoch);
             wal.append(&record)
                 .expect("WAL append failed at epoch publish");
             if let Some(ship) = &self.ship {
@@ -388,30 +378,6 @@ impl ServeState {
             model: self.gcn.model.clone(),
             delta: self.config.gcn.delta,
         }
-    }
-
-    /// Warm restart: re-apply a WAL against a fresh fit of the base
-    /// corpus. Paper records absorb the *recorded* decisions (no
-    /// re-deciding — though on canonical state the decision rule would
-    /// agree, the log is the ground truth); epoch markers re-publish at
-    /// the exact recorded boundaries, which is what makes the replayed
-    /// engine bit-identical to the live one (publish canonicalizes merged
-    /// profiles, so cadence matters). The replayed state fingerprints
-    /// equal to the pre-shutdown live state; the scenario invariant
-    /// `wal-replay-matches-live` asserts this per regime.
-    /// # Panics
-    /// On any record that does not continue the base corpus (paper-id gap,
-    /// epoch drift, malformed decision): replay is a cold path, and a log
-    /// that does not describe the state being rebuilt would silently void
-    /// the bit-identity contract. Recovery paths that must *not* panic use
-    /// [`ServeState::recover`], which routes the same validation through
-    /// `Result`s and checkpoint fallback instead.
-    pub fn replay(iuad: Iuad, records: &[WalRecord]) -> ServeState {
-        let mut state = ServeState::new(iuad, None);
-        if let Err(e) = state.apply_records(records, false) {
-            panic!("WAL replay failed: {e}");
-        }
-        state
     }
 
     /// Fold the durable history into a new checkpoint and truncate the
@@ -478,16 +444,10 @@ impl ServeState {
             Some(cp) => (cp.records, cp.meta.next_paper, cp.meta.epoch),
             None => (Vec::new(), 0, 0),
         };
-        for record in tail {
-            let folded = match record.t.as_str() {
-                "paper" => record.paper.as_ref().is_none_or(|p| p.id.0 >= skip_paper),
-                "epoch" => record.epoch.is_none_or(|e| e > skip_epoch),
-                _ => true,
-            };
-            if folded {
-                records.push(record);
-            }
-        }
+        records.extend(tail.into_iter().filter(|record| match record {
+            WalRecord::Paper { paper, .. } => paper.id.0 >= skip_paper,
+            &WalRecord::Epoch(epoch) => epoch > skip_epoch,
+        }));
         Ok(records)
     }
 
@@ -515,8 +475,11 @@ impl ServeState {
             .path()
             .to_path_buf();
         let records = Self::fold_history(&wal_path)?;
-        let papers = records.iter().filter(|r| r.t == "paper").count() as u64;
-        let epochs = records.iter().filter(|r| r.t == "epoch").count() as u64;
+        let epochs = records
+            .iter()
+            .filter(|r| matches!(r, WalRecord::Epoch(_)))
+            .count() as u64;
+        let papers = records.len() as u64 - epochs;
         if papers != self.papers_ingested || epochs != self.epoch {
             return Err(format!(
                 "{what} refused: the fold has {papers} papers / {epochs} epochs but the \
@@ -528,6 +491,10 @@ impl ServeState {
     }
 
     /// Rebuild the serving state from disk: the recovery state machine.
+    /// Replay absorbs the *recorded* decisions and re-publishes at the
+    /// recorded epoch markers (publish canonicalizes merged profiles, so
+    /// cadence matters), which makes the rebuilt state bit-identical to
+    /// the live one; `wal-replay-matches-live` pins this per regime.
     ///
     /// Candidates are tried in order of freshness — each checkpoint from
     /// newest to oldest, then (when it can be correct) plain WAL replay:
@@ -675,10 +642,5 @@ impl ServeState {
     /// Papers accepted since the fit (not counting the base corpus).
     pub fn papers_ingested(&self) -> u64 {
         self.papers_ingested
-    }
-
-    /// Total papers known (base corpus + ingested).
-    pub fn num_papers(&self) -> u64 {
-        u64::from(self.next_paper)
     }
 }

@@ -9,10 +9,17 @@
 //! encoder and decoder of the format; checkpoints and the replication
 //! stream use them too.
 //!
+//! Each record shape is defined once, by [`WalRecord`]: its `Serialize`
+//! and `Deserialize` impls are the only code that writes or reads a record
+//! tag, and every frame is decoded into the enum once, as it is read. A
+//! frame that fails its length, newline or JSON check ends the intact
+//! prefix; a whole frame that is not a record is refused, because no crash
+//! leaves one behind.
+//!
 //! Replay applies the *recorded* decisions rather than re-deciding, and
 //! re-publishes at the recorded epoch markers, so a warm restart walks the
 //! exact operation sequence of the live daemon and lands on a bit-identical
-//! state (see [`crate::ServeState::replay`]).
+//! state (see [`crate::ServeState::recover`]).
 //!
 //! # Durability scope, exactly
 //!
@@ -45,130 +52,124 @@ use std::sync::Arc;
 use iuad_core::Decision;
 use iuad_corpus::{Paper, PaperId};
 use iuad_graph::VertexId;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
-/// One assignment decision as logged. The vendored `serde_derive` supports
-/// structs only, so the [`Decision`] enum is flattened into a tagged
-/// struct: `kind` is `"existing"` or `"new"`, `vertex` accompanies
-/// `"existing"`, and `score` carries the posterior log-odds (the best
-/// insufficient score for `"new"`, absent when there was no candidate).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WalDecision {
-    /// `"existing"` or `"new"`.
-    pub kind: String,
-    /// Matched vertex index for `"existing"`.
-    pub vertex: Option<u32>,
-    /// Posterior log-odds (best insufficient score for `"new"`).
-    pub score: Option<f64>,
-}
+use crate::{get, object, response_field};
 
-impl WalDecision {
-    /// Flatten a [`Decision`] for logging.
-    pub fn from_decision(d: &Decision) -> WalDecision {
-        match *d {
-            Decision::Existing { vertex, score } => WalDecision {
-                kind: "existing".to_owned(),
-                vertex: Some(vertex.0),
-                score: Some(score),
-            },
-            Decision::NewAuthor { best_score } => WalDecision {
-                kind: "new".to_owned(),
-                vertex: None,
-                score: best_score,
-            },
-        }
-    }
-
-    /// Reconstruct the [`Decision`] this record was flattened from.
-    pub fn to_decision(&self) -> Result<Decision, String> {
-        match self.kind.as_str() {
-            "existing" => {
-                let vertex = self
-                    .vertex
-                    .ok_or_else(|| "existing decision without vertex".to_owned())?;
-                Ok(Decision::Existing {
-                    vertex: VertexId(vertex),
-                    score: self.score.unwrap_or(0.0),
-                })
-            }
-            "new" => Ok(Decision::NewAuthor {
-                best_score: self.score,
-            }),
-            other => Err(format!("unknown decision kind `{other}`")),
-        }
-    }
-}
-
-/// One log record: either an accepted paper (`t == "paper"`, with the
-/// daemon-assigned id baked into `paper` and one decision per author slot)
-/// or an epoch-publish marker (`t == "epoch"`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WalRecord {
-    /// Record tag: `"paper"` or `"epoch"`.
-    pub t: String,
-    /// Epoch number, for `"epoch"` markers.
-    pub epoch: Option<u64>,
-    /// The accepted paper (id already rewritten by the daemon).
-    pub paper: Option<Paper>,
-    /// Per-slot decisions, parallel to `paper.authors`.
-    pub decisions: Option<Vec<WalDecision>>,
+/// One log record: an accepted paper, with the daemon-assigned id baked
+/// into `paper` and one decision per author slot, or an epoch-publish
+/// marker.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WalRecord {
+    /// An accepted paper and how each of its author slots was decided.
+    Paper {
+        /// The accepted paper (id already rewritten by the daemon).
+        paper: Paper,
+        /// Per-slot decisions, parallel to `paper.authors`.
+        decisions: Vec<Decision>,
+    },
+    /// An epoch-publish marker.
+    Epoch(u64),
 }
 
 impl WalRecord {
-    /// A paper record.
-    pub fn paper(paper: Paper, decisions: Vec<WalDecision>) -> WalRecord {
-        WalRecord {
-            t: "paper".to_owned(),
-            epoch: None,
-            paper: Some(paper),
-            decisions: Some(decisions),
-        }
-    }
-
-    /// An epoch-publish marker.
-    pub fn epoch(epoch: u64) -> WalRecord {
-        WalRecord {
-            t: "epoch".to_owned(),
-            epoch: Some(epoch),
-            paper: None,
-            decisions: None,
-        }
-    }
-
-    /// A replication-stream heartbeat (`t == "hb"`): never logged to disk
-    /// and never applied — it only keeps an idle follower's view of the
-    /// primary's epoch fresh, so staleness stays measurable between
-    /// records. [`crate::ServeState::apply_record`] rejects the tag as a
-    /// defence; the follower link consumes heartbeats before apply.
-    pub fn heartbeat(epoch: u64) -> WalRecord {
-        WalRecord {
-            t: "hb".to_owned(),
-            epoch: Some(epoch),
-            paper: None,
-            decisions: None,
-        }
-    }
-
     /// Byte length of the widest frame a paper record for `paper` can
     /// take once its id is assigned and its slots decided: the record
     /// framed with the largest id and, in every slot, the widest decision
-    /// (`"existing"`, the largest vertex, and a score whose shortest
+    /// (`Existing`, the largest vertex, and a score whose shortest
     /// round-trip form is the longest an `f64` has). The daemon refuses an
     /// ingest whose bound passes [`crate::MAX_LINE_BYTES`], the frame cap
     /// followers read with.
     pub fn widest_frame_len(paper: &Paper) -> usize {
-        let widest = WalDecision {
-            kind: "existing".to_owned(),
-            vertex: Some(u32::MAX),
-            score: Some(-f64::MIN_POSITIVE),
+        let widest = Decision::Existing {
+            vertex: VertexId(u32::MAX),
+            score: -f64::MIN_POSITIVE,
         };
-        let decisions = vec![widest; paper.authors.len()];
-        let paper = Paper {
-            id: PaperId(u32::MAX),
-            ..paper.clone()
+        let record = WalRecord::Paper {
+            decisions: vec![widest; paper.authors.len()],
+            paper: Paper {
+                id: PaperId(u32::MAX),
+                ..paper.clone()
+            },
         };
-        let record = WalRecord::paper(paper, decisions);
         frame(&record).map_or(usize::MAX, |bytes| bytes.len())
+    }
+}
+
+/// The object every record-shaped frame encodes to: the fields `t`,
+/// `epoch`, `paper` and `decisions`, in that order, `null` where the shape
+/// has no value. Ship-stream heartbeats share it.
+pub(crate) fn record_value(t: &str, epoch: Value, paper: Value, decisions: Value) -> Value {
+    object([
+        ("t", Value::Str(t.to_owned())),
+        ("epoch", epoch),
+        ("paper", paper),
+        ("decisions", decisions),
+    ])
+}
+
+impl Serialize for WalRecord {
+    fn to_value(&self) -> Value {
+        match self {
+            WalRecord::Paper { paper, decisions } => record_value(
+                "paper",
+                Value::Null,
+                paper.to_value(),
+                Value::Array(decisions.iter().map(decision_value).collect()),
+            ),
+            WalRecord::Epoch(epoch) => {
+                record_value("epoch", epoch.to_value(), Value::Null, Value::Null)
+            }
+        }
+    }
+}
+
+impl Deserialize for WalRecord {
+    fn from_value(v: &Value) -> Result<WalRecord, DeError> {
+        match get::<String>(v, "t")?.as_str() {
+            "paper" => {
+                let Some(Value::Array(decisions)) = response_field(v, "decisions") else {
+                    return Err(DeError::custom("paper record without decisions"));
+                };
+                Ok(WalRecord::Paper {
+                    paper: get(v, "paper")?,
+                    decisions: decisions
+                        .iter()
+                        .map(decision_from_value)
+                        .collect::<Result<_, _>>()?,
+                })
+            }
+            "epoch" => Ok(WalRecord::Epoch(get(v, "epoch")?)),
+            other => Err(DeError::custom(format!("unknown WAL record tag `{other}`"))),
+        }
+    }
+}
+
+/// One logged decision: `kind` is `"existing"` (with `vertex` and the
+/// posterior log-odds in `score`) or `"new"` (with `vertex` null and the
+/// best insufficient score, if there was a candidate).
+fn decision_value(decision: &Decision) -> Value {
+    let (kind, vertex, score) = match *decision {
+        Decision::Existing { vertex, score } => ("existing", Some(vertex.0), Some(score)),
+        Decision::NewAuthor { best_score } => ("new", None, best_score),
+    };
+    object([
+        ("kind", Value::Str(kind.to_owned())),
+        ("vertex", vertex.to_value()),
+        ("score", score.to_value()),
+    ])
+}
+
+fn decision_from_value(v: &Value) -> Result<Decision, DeError> {
+    match get::<String>(v, "kind")?.as_str() {
+        "existing" => Ok(Decision::Existing {
+            vertex: VertexId(get(v, "vertex")?),
+            score: get(v, "score")?,
+        }),
+        "new" => Ok(Decision::NewAuthor {
+            best_score: get(v, "score")?,
+        }),
+        other => Err(DeError::custom(format!("unknown decision kind `{other}`"))),
     }
 }
 
@@ -248,7 +249,9 @@ impl Wal {
     /// away first: appending after the garbage would make the next replay
     /// stop at the tear and silently drop every record written after it.
     /// The truncation is made durable (file `sync_all` + parent-directory
-    /// fsync) before any new record can land after it.
+    /// fsync) before any new record can land after it. A whole frame that
+    /// is not a [`WalRecord`] is refused as [`read_wal`] refuses it, and
+    /// nothing is truncated.
     pub fn append_to(path: &Path) -> std::io::Result<Wal> {
         let (_, intact) = scan_wal(path)?;
         let file = File::options().write(true).open(path)?;
@@ -327,6 +330,10 @@ impl Wal {
 /// Read every intact record of a log. Tolerant of a torn tail: the first
 /// line that is not a whole frame (see the module docs) ends the replay —
 /// everything before it is returned.
+///
+/// # Errors
+/// [`std::io::ErrorKind::InvalidData`] when a whole frame is not a
+/// [`WalRecord`], besides any I/O error.
 pub fn read_wal(path: &Path) -> std::io::Result<Vec<WalRecord>> {
     Ok(scan_wal(path)?.0)
 }
@@ -347,9 +354,17 @@ fn scan_wal(path: &Path) -> std::io::Result<(Vec<WalRecord>, u64)> {
         }
         // A tear can land anywhere, even on the newline itself; the
         // intact prefix ends at the first line that is not a whole frame.
-        let Ok(record) = unframe::<WalRecord>(&buf) else {
+        let Ok(value) = unframe::<Value>(&buf) else {
             break;
         };
+        // A whole frame that is not a record is damage no crash leaves
+        // behind: refuse the log rather than truncate acknowledged records.
+        let record = WalRecord::from_value(&value).map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("WAL record at byte {intact}: {e}"),
+            )
+        })?;
         records.push(record);
         intact += n as u64;
     }
@@ -359,7 +374,16 @@ fn scan_wal(path: &Path) -> std::io::Result<(Vec<WalRecord>, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iuad_corpus::{NameId, PaperId, VenueId};
+    use crate::checkpoint::{read_checkpoint, CheckpointMeta};
+    use crate::replica::{ShipFrame, SyncFrame};
+    use iuad_corpus::{NameId, VenueId};
+    use proptest::prelude::*;
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("iuad-serve-wal-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
 
     fn sample_paper(id: u32) -> Paper {
         Paper {
@@ -389,49 +413,38 @@ mod tests {
                 vertex: VertexId(u32::MAX),
                 score,
             };
-            let decisions = vec![WalDecision::from_decision(&existing); 2];
-            let framed = frame(&WalRecord::paper(paper.clone(), decisions)).unwrap();
+            let framed = frame(&WalRecord::Paper {
+                paper: paper.clone(),
+                decisions: vec![existing; 2],
+            })
+            .unwrap();
             assert!(framed.len() <= bound, "{score:?}");
         }
     }
 
     #[test]
     fn roundtrip_and_torn_tail() {
-        let dir = std::env::temp_dir().join("iuad-serve-wal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.wal");
-        {
-            let mut wal = Wal::create(&path).unwrap();
-            wal.append(&WalRecord::epoch(1)).unwrap();
-            wal.append(&WalRecord::paper(
-                sample_paper(10),
-                vec![
-                    WalDecision::from_decision(&Decision::Existing {
+        let path = scratch("roundtrip.wal");
+        let written = vec![
+            WalRecord::Epoch(1),
+            WalRecord::Paper {
+                paper: sample_paper(10),
+                decisions: vec![
+                    Decision::Existing {
                         vertex: VertexId(4),
                         score: 1.25,
-                    }),
-                    WalDecision::from_decision(&Decision::NewAuthor { best_score: None }),
+                    },
+                    Decision::NewAuthor { best_score: None },
                 ],
-            ))
-            .unwrap();
-        }
-        let full = read_wal(&path).unwrap();
-        assert_eq!(full.len(), 2);
-        assert_eq!(full[0].t, "epoch");
-        assert_eq!(full[0].epoch, Some(1));
-        let decisions = full[1].decisions.as_ref().unwrap();
-        assert_eq!(
-            decisions[0].to_decision().unwrap(),
-            Decision::Existing {
-                vertex: VertexId(4),
-                score: 1.25
+            },
+        ];
+        {
+            let mut wal = Wal::create(&path).unwrap();
+            for record in &written {
+                wal.append(record).unwrap();
             }
-        );
-        assert_eq!(
-            decisions[1].to_decision().unwrap(),
-            Decision::NewAuthor { best_score: None }
-        );
-        assert_eq!(full[1].paper.as_ref().unwrap().id, PaperId(10));
+        }
+        assert_eq!(read_wal(&path).unwrap(), written);
 
         // Tear the tail mid-record: the intact prefix still replays.
         let bytes = std::fs::read(&path).unwrap();
@@ -443,18 +456,14 @@ mod tests {
 
     #[test]
     fn append_after_torn_tail_truncates_garbage() {
-        let dir = std::env::temp_dir().join("iuad-serve-wal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn-append.wal");
+        let path = scratch("torn-append.wal");
         {
             let mut wal = Wal::create(&path).unwrap();
-            wal.append(&WalRecord::epoch(1)).unwrap();
-            wal.append(&WalRecord::paper(
-                sample_paper(10),
-                vec![WalDecision::from_decision(&Decision::NewAuthor {
-                    best_score: None,
-                })],
-            ))
+            wal.append(&WalRecord::Epoch(1)).unwrap();
+            wal.append(&WalRecord::Paper {
+                paper: sample_paper(10),
+                decisions: vec![Decision::NewAuthor { best_score: None }],
+            })
             .unwrap();
         }
         // Crash mid-write of the second record.
@@ -466,12 +475,13 @@ mod tests {
         // replay would stop at the tear and lose it.
         {
             let mut wal = Wal::append_to(&path).unwrap();
-            wal.append(&WalRecord::epoch(2)).unwrap();
+            wal.append(&WalRecord::Epoch(2)).unwrap();
         }
-        let records = read_wal(&path).unwrap();
-        assert_eq!(records.len(), 2, "torn record dropped, new record kept");
-        assert_eq!(records[0].epoch, Some(1));
-        assert_eq!(records[1].epoch, Some(2));
+        assert_eq!(
+            read_wal(&path).unwrap(),
+            vec![WalRecord::Epoch(1), WalRecord::Epoch(2)],
+            "torn record dropped, new record kept"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -482,14 +492,10 @@ mod tests {
     /// record.
     #[test]
     fn tear_before_the_newline_is_dropped_before_append() {
-        let dir = std::env::temp_dir().join("iuad-serve-wal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn-newline.wal");
-        let record = |id: u32| {
-            WalRecord::paper(
-                sample_paper(id),
-                vec![WalDecision::from_decision(&Decision::NewAuthor { best_score: None }); 2],
-            )
+        let path = scratch("torn-newline.wal");
+        let record = |id: u32| WalRecord::Paper {
+            paper: sample_paper(id),
+            decisions: vec![Decision::NewAuthor { best_score: None }; 2],
         };
         Wal::create(&path).unwrap().append(&record(0)).unwrap();
         let torn = frame(&record(1)).unwrap();
@@ -507,12 +513,77 @@ mod tests {
             wal.append(&record(2)).unwrap();
             wal.append(&record(3)).unwrap();
         }
-        let ids: Vec<u32> = read_wal(&path)
-            .unwrap()
-            .iter()
-            .map(|r| r.paper.as_ref().unwrap().id.0)
-            .collect();
-        assert_eq!(ids, vec![0, 2, 3]);
+        assert_eq!(
+            read_wal(&path).unwrap(),
+            vec![record(0), record(2), record(3)]
+        );
         std::fs::remove_file(&path).ok();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary bytes, bare or framed, and valid frames torn or
+        /// bit-flipped never panic the WAL scan, the strict checkpoint
+        /// reader or the ship and handshake decoders; and a log torn
+        /// anywhere still reads back as a prefix of its records.
+        #[test]
+        fn hostile_frame_bytes_never_panic(
+            variant in 0usize..4,
+            junk in prop::collection::vec(0u8..255, 0..64),
+            cut in 0usize..4096,
+            xor in 1u8..255,
+        ) {
+            let mutate = |mut bytes: Vec<u8>| -> Vec<u8> {
+                match variant {
+                    0 => junk.clone(),
+                    1 => [format!("{}\t", junk.len()).as_bytes(), &junk, b"\n"].concat(),
+                    2 => bytes[..cut % (bytes.len() + 1)].to_vec(),
+                    _ => {
+                        let at = cut % bytes.len();
+                        bytes[at] ^= xor;
+                        bytes
+                    }
+                }
+            };
+            let records = [
+                WalRecord::Paper {
+                    paper: sample_paper(4),
+                    decisions: vec![
+                        Decision::Existing { vertex: VertexId(2), score: -0.75 },
+                        Decision::NewAuthor { best_score: Some(0.5) },
+                    ],
+                },
+                WalRecord::Epoch(1),
+            ];
+            let log: Vec<u8> = records.iter().flat_map(|r| frame(r).unwrap()).collect();
+            let meta = CheckpointMeta {
+                version: 1,
+                seq: 1,
+                epoch: 1,
+                papers: 1,
+                next_paper: 5,
+                fingerprint: "0".repeat(16),
+                records: 2,
+            };
+            let hello = SyncFrame::Hello { cursor: 2, epoch: 1 };
+            let wire = [log.clone(), frame(&ShipFrame::Heartbeat(1)).unwrap(), frame(&hello).unwrap()];
+
+            let path = scratch("hostile.wal");
+            std::fs::write(&path, mutate(log.clone())).unwrap();
+            let read = read_wal(&path);
+            if variant == 2 {
+                let read = read.unwrap();
+                prop_assert_eq!(&records[..read.len()], &read[..]);
+            }
+            let _ = Wal::append_to(&path);
+            std::fs::write(&path, mutate([frame(&meta).unwrap(), log].concat())).unwrap();
+            let _ = read_checkpoint(&path);
+            std::fs::remove_file(&path).ok();
+            for line in mutate(wire.concat()).split_inclusive(|&b| b == b'\n') {
+                let _ = unframe::<ShipFrame>(line);
+                let _ = unframe::<SyncFrame>(line);
+            }
+        }
     }
 }

@@ -109,8 +109,9 @@ fn wal_replay_reproduces_live_state_bit_identically() {
     }
     live.publish();
 
-    let records = read_wal(&path).expect("read WAL");
-    let replayed = ServeState::replay(Iuad::fit(&base, &config), &records);
+    let recovery = ServeState::recover(Iuad::fit(&base, &config), &path).expect("recover");
+    assert_eq!(recovery.checkpoint_seq, None);
+    let replayed = recovery.state;
     assert_eq!(replayed.epoch(), live.epoch());
     assert_eq!(replayed.papers_ingested(), live.papers_ingested());
     assert_eq!(replayed.fingerprint(), live.fingerprint());
@@ -297,20 +298,7 @@ fn daemon_serves_queries_while_streaming_and_warm_restarts() {
 
     let mut client = Client::connect(addr).expect("connect ingest client");
     for (paper, _) in &tail {
-        let authors: Vec<Value> = paper
-            .authors
-            .iter()
-            .map(|n| Value::U64(u64::from(n.0)))
-            .collect();
-        let request = Client::request(
-            "ingest",
-            vec![
-                ("authors", Value::Array(authors)),
-                ("title", Value::Str(paper.title.clone())),
-                ("venue", Value::U64(u64::from(paper.venue.0))),
-                ("year", Value::U64(u64::from(paper.year))),
-            ],
-        );
+        let request = Client::ingest_request(paper);
         // The bounded ingest queue may momentarily shed; retry until
         // accepted so every tail paper lands exactly once.
         loop {
@@ -351,8 +339,9 @@ fn daemon_serves_queries_while_streaming_and_warm_restarts() {
 
     // Warm restart: replaying the WAL over a fresh fit of the same base
     // corpus must land on the exact pre-shutdown partition.
-    let records = read_wal(&path).expect("read WAL");
-    let replayed = ServeState::replay(fit(), &records);
+    let recovery = ServeState::recover(fit(), &path).expect("recover");
+    assert_eq!(recovery.checkpoint_seq, None);
+    let replayed = recovery.state;
     assert_eq!(
         replayed.fingerprint(),
         live_fp,
@@ -360,6 +349,41 @@ fn daemon_serves_queries_while_streaming_and_warm_restarts() {
     );
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// Poll until `done` holds; fail with `what` after `secs` seconds.
+fn wait_until(secs: u64, what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(secs);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A fresh fit of all but the last `tail_len` corpus papers, and a live
+/// state over it that logs to a new WAL at `path`, streams the tail with
+/// a publish every 8 papers, and checkpoints once, after paper
+/// `checkpoint_at`.
+fn drive_with_checkpoint(
+    tail_len: usize,
+    checkpoint_at: usize,
+    path: &std::path::Path,
+) -> (ServeState, ServeState) {
+    let (base, tail) = corpus().split_tail(tail_len);
+    scrub_serving_files(path);
+    let fit_state = ServeState::new(Iuad::fit(&base, &IuadConfig::default()), None);
+    let mut live = fit_state.clone_base();
+    live.set_wal(Some(Wal::create(path).expect("create WAL")));
+    for (i, (paper, _)) in tail.iter().enumerate() {
+        live.ingest(paper.clone());
+        if (i + 1) % 8 == 0 {
+            live.publish();
+        }
+        if i + 1 == checkpoint_at {
+            live.checkpoint().expect("checkpoint");
+        }
+    }
+    (fit_state, live)
 }
 
 /// Remove a WAL file and every checkpoint (and temp) file next to it.
@@ -411,28 +435,13 @@ fn crash_matrix_recovers_bit_identically_at_every_point() {
 
 #[test]
 fn checkpoint_compacts_wal_and_recovery_resumes_from_it() {
-    let (base, tail) = corpus().split_tail(30);
-    let config = IuadConfig::default();
     let path = scratch_wal("compact.wal");
-    scrub_serving_files(&path);
-
-    let fit_state = ServeState::new(Iuad::fit(&base, &config), None);
-    let mut live = fit_state.clone_base();
-    live.set_wal(Some(Wal::create(&path).expect("create WAL")));
-    for (i, (paper, _)) in tail.iter().enumerate() {
-        live.ingest(paper.clone());
-        if (i + 1) % 8 == 0 {
-            live.publish();
-        }
-        if i + 1 == 16 {
-            live.checkpoint().expect("first checkpoint");
-        }
-    }
+    let (fit_state, mut live) = drive_with_checkpoint(30, 16, &path);
 
     // The checkpoint truncated the WAL: only post-checkpoint records remain.
     let wal_tail = read_wal(&path).expect("read WAL");
     assert!(
-        !wal_tail.is_empty() && wal_tail.len() < tail.len(),
+        !wal_tail.is_empty() && wal_tail.len() < 30,
         "expected a compacted WAL holding only the post-checkpoint tail, got {} records",
         wal_tail.len()
     );
@@ -469,23 +478,8 @@ fn checkpoint_compacts_wal_and_recovery_resumes_from_it() {
 
 #[test]
 fn recovery_falls_back_past_corruption_but_refuses_unprovable_gaps() {
-    let (base, tail) = corpus().split_tail(20);
-    let config = IuadConfig::default();
     let path = scratch_wal("fallback.wal");
-    scrub_serving_files(&path);
-
-    let fit_state = ServeState::new(Iuad::fit(&base, &config), None);
-    let mut live = fit_state.clone_base();
-    live.set_wal(Some(Wal::create(&path).expect("create WAL")));
-    for (i, (paper, _)) in tail.iter().enumerate() {
-        live.ingest(paper.clone());
-        if (i + 1) % 8 == 0 {
-            live.publish();
-        }
-        if i + 1 == 12 {
-            live.checkpoint().expect("checkpoint");
-        }
-    }
+    let (fit_state, mut live) = drive_with_checkpoint(20, 12, &path);
 
     // A corrupt *newer* checkpoint whose records the WAL tail still covers:
     // recovery must reject it and fall back to checkpoint 1 + tail.
@@ -529,21 +523,8 @@ struct RecoveryFixture {
 fn recovery_fixture() -> &'static RecoveryFixture {
     static FIXTURE: OnceLock<RecoveryFixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let (base, tail) = corpus().split_tail(24);
         let path = scratch_wal("prop-fixture.wal");
-        scrub_serving_files(&path);
-        let fit_state = ServeState::new(Iuad::fit(&base, &IuadConfig::default()), None);
-        let mut live = fit_state.clone_base();
-        live.set_wal(Some(Wal::create(&path).expect("create WAL")));
-        for (i, (paper, _)) in tail.iter().enumerate() {
-            live.ingest(paper.clone());
-            if (i + 1) % 8 == 0 {
-                live.publish();
-            }
-            if i + 1 == 20 {
-                live.checkpoint().expect("fixture checkpoint");
-            }
-        }
+        let (fit_state, live) = drive_with_checkpoint(24, 20, &path);
         let wal_bytes = std::fs::read(&path).expect("read fixture WAL");
         let ckpt_bytes = std::fs::read(checkpoint_path(&path, 1)).expect("read fixture ckpt");
         let fixture = RecoveryFixture {
@@ -715,20 +696,7 @@ fn daemon_checkpoint_op_compacts_and_warm_restart_uses_it() {
 
     let mut client = Client::connect(daemon.addr()).expect("connect");
     for (paper, _) in &tail {
-        let authors: Vec<Value> = paper
-            .authors
-            .iter()
-            .map(|n| Value::U64(u64::from(n.0)))
-            .collect();
-        let request = Client::request(
-            "ingest",
-            vec![
-                ("authors", Value::Array(authors)),
-                ("title", Value::Str(paper.title.clone())),
-                ("venue", Value::U64(u64::from(paper.venue.0))),
-                ("year", Value::U64(u64::from(paper.year))),
-            ],
-        );
+        let request = Client::ingest_request(paper);
         let response = client
             .call_with_backoff(&request, &Backoff::default())
             .expect("ingest round-trip");
@@ -841,14 +809,9 @@ fn follower_sheds_past_staleness_bound_and_recovers_when_lag_drains() {
 
     // Let the follower sync cleanly first.
     primary.publish();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while follower.status().applied_epoch() < 1 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "follower never synced epoch 1"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until(10, "follower never synced epoch 1", || {
+        follower.status().applied_epoch() >= 1
+    });
 
     // Stall every apply while the primary publishes several epochs: lag
     // grows past the bound while the records are still in flight.
@@ -905,14 +868,9 @@ fn follower_sheds_past_staleness_bound_and_recovers_when_lag_drains() {
     // the primary's exact epoch and zero staleness.
     faults.arm_apply_stall(1, 0);
     let target = primary.epoch();
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    while follower.status().applied_epoch() < target {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "follower never drained its backlog"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_until(20, "follower never drained its backlog", || {
+        follower.status().applied_epoch() >= target
+    });
     let response = client.call(&whois).expect("whois after catch-up");
     assert!(
         response_ok(&response),
@@ -988,20 +946,7 @@ fn ingest_shed_backlog_never_exceeds_queue_capacity() {
                 let mut client = Client::connect(addr).expect("connect ingest client");
                 let mut sheds = 0u64;
                 for paper in &papers {
-                    let authors: Vec<Value> = paper
-                        .authors
-                        .iter()
-                        .map(|n| Value::U64(u64::from(n.0)))
-                        .collect();
-                    let request = Client::request(
-                        "ingest",
-                        vec![
-                            ("authors", Value::Array(authors)),
-                            ("title", Value::Str(paper.title.clone())),
-                            ("venue", Value::U64(u64::from(paper.venue.0))),
-                            ("year", Value::U64(u64::from(paper.year))),
-                        ],
-                    );
+                    let request = Client::ingest_request(paper);
                     let response = client.call(&request).expect("ingest round-trip");
                     if response_shed(&response) {
                         sheds += 1;
@@ -1165,18 +1110,117 @@ fn record_at_the_frame_cap_replicates() {
     assert_eq!(WalRecord::widest_frame_len(&paper), MAX_LINE_BYTES);
     primary.ingest(paper);
     primary.publish();
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    while follower.status().applied_epoch() < primary.epoch() {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "follower never applied the record at the cap"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_until(20, "follower never applied the record at the cap", || {
+        follower.status().applied_epoch() >= primary.epoch()
+    });
 
     let follower_state = follower.shutdown();
     server.shutdown();
     assert_eq!(follower_state.fingerprint(), primary.fingerprint());
     assert_eq!(follower_state.engine().diff_from(primary.engine()), None);
+    scrub_serving_files(&path);
+}
+
+/// `LEN<TAB>JSON\n` for a golden payload.
+fn golden_frame(json: &str) -> String {
+    format!("{}\t{json}\n", json.len())
+}
+
+/// The exact bytes of every WAL, ship and handshake frame shape: a paper
+/// record holding an existing decision and both kinds of new-author
+/// decision, an epoch marker, a heartbeat, and the sync, hello and refused
+/// handshakes. Records are decoded from the golden bytes and must encode
+/// back to them, on disk and on the wire.
+#[test]
+fn every_frame_shape_keeps_its_golden_bytes() {
+    use std::io::{BufRead, BufReader, Write};
+
+    const PAPER: &str = r#"{"t":"paper","epoch":null,"paper":{"id":7,"authors":[3,7,9],"title":"golden \"frame\"","venue":2,"year":2021},"decisions":[{"kind":"existing","vertex":4,"score":1.25},{"kind":"new","vertex":null,"score":-0.5},{"kind":"new","vertex":null,"score":null}]}"#;
+    const EPOCH: &str = r#"{"t":"epoch","epoch":1,"paper":null,"decisions":null}"#;
+    const HEARTBEAT: &str = r#"{"t":"hb","epoch":1,"paper":null,"decisions":null}"#;
+    const SYNC: &str = r#"{"t":"sync","cursor":0,"epoch":0,"error":null}"#;
+    const HELLO: &str = r#"{"t":"hello","cursor":0,"epoch":1,"error":null}"#;
+    const REFUSED: &str = r#"{"t":"refused","cursor":null,"epoch":null,"error":"cursor ahead of the primary's history"}"#;
+
+    // WAL: decode the golden log, append its records to a fresh log.
+    let golden_log = golden_frame(PAPER) + &golden_frame(EPOCH);
+    let source = scratch_wal("golden-source.wal");
+    std::fs::write(&source, &golden_log).expect("write golden WAL");
+    let records = read_wal(&source).expect("read golden WAL");
+    assert_eq!(records.len(), 2);
+    let copy = scratch_wal("golden-copy.wal");
+    let mut wal = Wal::create(&copy).expect("create WAL");
+    for record in &records {
+        wal.append(record).expect("append");
+    }
+    drop(wal);
+    assert_eq!(
+        std::fs::read_to_string(&copy).expect("read copy"),
+        golden_log
+    );
+    let _ = std::fs::remove_file(&source);
+    let _ = std::fs::remove_file(&copy);
+
+    // Ship stream: hello, the horizon heartbeat, the records, then an idle
+    // heartbeat.
+    let hub = ReplicationHub::new(records);
+    let server = ReplicationServer::spawn(hub, None).expect("replication server");
+    let read_line = |reader: &mut BufReader<std::net::TcpStream>| {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read frame");
+        line
+    };
+    let connect = |sync: &str| {
+        let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        stream
+            .write_all(golden_frame(sync).as_bytes())
+            .expect("send sync");
+        BufReader::new(stream)
+    };
+    let mut reader = connect(SYNC);
+    for golden in [HELLO, HEARTBEAT, PAPER, EPOCH, HEARTBEAT] {
+        assert_eq!(read_line(&mut reader), golden_frame(golden));
+    }
+    let mut ahead = connect(&SYNC.replace("\"cursor\":0", "\"cursor\":5"));
+    assert_eq!(read_line(&mut ahead), golden_frame(REFUSED));
+    server.shutdown();
+
+    // A follower's first frame is its sync handshake.
+    let primary = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let follower = Follower::spawn(
+        recovery_fixture().base.clone_base(),
+        primary.local_addr().expect("primary addr"),
+        &FollowerConfig::default(),
+    )
+    .expect("spawn follower");
+    let (stream, _) = primary.accept().expect("accept follower");
+    assert_eq!(read_line(&mut BufReader::new(stream)), golden_frame(SYNC));
+    drop(primary);
+    follower.shutdown();
+}
+
+/// A whole frame with the wrong shape is damage no crash leaves behind:
+/// recovery refuses the log, and reopening it for append truncates
+/// nothing.
+#[test]
+fn misshapen_wal_frame_refuses_recovery_and_keeps_the_log() {
+    let fixture = recovery_fixture();
+    let path = scratch_wal("misshapen.wal");
+    scrub_serving_files(&path);
+    let wal = &fixture.wal_bytes;
+    let first = wal.iter().position(|&b| b == b'\n').expect("a WAL record") + 1;
+    let misshapen = golden_frame(r#"{"t":"vote","epoch":2}"#);
+    let bytes = [&wal[..first], misshapen.as_bytes(), &wal[first..]].concat();
+    std::fs::write(&path, &bytes).expect("write WAL");
+
+    let err = ServeState::recover_from_base(&fixture.base, &path)
+        .expect_err("recovery must refuse the log");
+    assert!(err.contains("unknown WAL record tag `vote`"), "{err}");
+    let err = Wal::append_to(&path).expect_err("reopening must refuse the log");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(std::fs::read(&path).expect("read WAL"), bytes);
     scrub_serving_files(&path);
 }
