@@ -2,13 +2,14 @@
 //! fit, written as the machine-readable `BENCH_scale.json` (see README
 //! § Performance for the schema).
 //!
-//! Schema version 4. Two tiers are defined — 100k papers (always run; the
+//! Schema version 5. Two tiers are defined — 100k papers (always run; the
 //! CI `bench-scale` job guards it with `scripts/perf_guard.py`) and 1M
 //! papers (opt-in via `IUAD_SCALE_1M=1`; manual/nightly only — it is a
 //! multi-minute, multi-GB run). The guarded tier's `total_seconds`,
 //! `pairs_per_sec` and `stages` are mirrored at the top level of the
 //! document so the perf guard reads `BENCH_scale.json` exactly like
-//! `BENCH_pipeline.json`. (Version 3 had no `group_evidence` row: the
+//! `BENCH_pipeline.json`. (Version 4 had no engine heap fields. Version 3
+//! had no `group_evidence` row: the
 //! join evidence it times was built inside both engine-build rows, as in
 //! `BENCH_pipeline.json` schema 4. Version 2 named the last stage
 //! `engine_derive`; version 1 timed a name-block-sharded copy of the fit
@@ -67,6 +68,10 @@ pub struct ScaleTier {
     /// `ctx_heap_bytes / mentions` — the per-mention profile budget the
     /// interning work is accountable to.
     pub bytes_per_mention: f64,
+    /// Heap of the Stage-2 similarity engine, as [`Iuad::fit`] recorded it.
+    pub stage2_engine_heap_bytes: usize,
+    /// Heap of the merged similarity engine, as [`Iuad::fit`] recorded it.
+    pub merged_engine_heap_bytes: usize,
 }
 
 /// The `BENCH_scale.json` document.
@@ -139,6 +144,8 @@ fn measure_tier(
         total_seconds: bench.total_seconds,
         ctx_heap_bytes,
         bytes_per_mention: ctx_heap_bytes as f64 / bench.corpus_mentions.max(1) as f64,
+        stage2_engine_heap_bytes: iuad.engine_heap.stage2_bytes,
+        merged_engine_heap_bytes: iuad.engine_heap.merged_bytes,
     }
 }
 
@@ -185,6 +192,12 @@ pub fn render(bench: &ScaleBench) -> String {
             &format!("{:.1}", tier.ctx_heap_bytes as f64 / (1 << 20) as f64),
         ]);
         info.row(["bytes/mention", &format!("{:.1}", tier.bytes_per_mention)]);
+        for (label, bytes) in [
+            ("stage-2 engine heap MiB", tier.stage2_engine_heap_bytes),
+            ("merged engine heap MiB", tier.merged_engine_heap_bytes),
+        ] {
+            info.row([label, &format!("{:.1}", bytes as f64 / (1 << 20) as f64)]);
+        }
         out.push_str(&format!(
             "tier {} ({} threads)\n{}\n{}\n",
             tier.tier,
@@ -219,9 +232,25 @@ fn as_f64(value: &Value) -> Option<f64> {
     }
 }
 
-/// The committed baseline's guarded-tier `bytes_per_mention`, read from
-/// `BENCH_scale.json` before this run overwrites it.
-fn committed_bytes_per_mention() -> Option<f64> {
+/// Reads one heap figure off a measured tier.
+type HeapOf = fn(&ScaleTier) -> usize;
+
+/// The heap figures held to the memory ceiling: a label, the tier field
+/// the committed baseline records the figure under, and its value on a
+/// measured tier.
+const CEILINGS: [(&str, &str, HeapOf); 3] = [
+    ("profile context", "ctx_heap_bytes", |t| t.ctx_heap_bytes),
+    ("Stage-2 engine", "stage2_engine_heap_bytes", |t| {
+        t.stage2_engine_heap_bytes
+    }),
+    ("merged engine", "merged_engine_heap_bytes", |t| {
+        t.merged_engine_heap_bytes
+    }),
+];
+
+/// The committed baseline's guarded tier, read from `BENCH_scale.json`
+/// before this run overwrites it.
+fn committed_guarded_tier() -> Option<Value> {
     let text = std::fs::read_to_string("BENCH_scale.json").ok()?;
     let doc: Value = serde_json::from_str(&text).ok()?;
     let guarded = match field(&doc, "guarded_tier")? {
@@ -231,51 +260,57 @@ fn committed_bytes_per_mention() -> Option<f64> {
     let Value::Array(tiers) = field(&doc, "tiers")? else {
         return None;
     };
-    let tier = tiers
+    tiers
         .iter()
-        .find(|t| matches!(field(t, "tier"), Some(Value::Str(s)) if *s == guarded))?;
-    as_f64(field(tier, "bytes_per_mention")?)
+        .find(|t| matches!(field(t, "tier"), Some(Value::Str(s)) if *s == guarded))
+        .cloned()
 }
 
-/// Hard memory ceiling: every measured tier's profile-context heap must
-/// stay within [`MEMORY_CEILING_FACTOR`]× the budget implied by the
-/// committed baseline's per-mention figure — `budget = recorded
-/// bytes_per_mention × tier mentions`. Because the budget is per mention,
+/// Hard memory ceiling: on every measured tier, each [`CEILINGS`] figure
+/// must stay within [`MEMORY_CEILING_FACTOR`]× the budget implied by the
+/// committed baseline's per-mention figure — `budget = recorded bytes /
+/// recorded mentions × tier mentions`. Because the budget is per mention,
 /// the same ceiling covers the guarded 100k tier and the opt-in 1M tier
 /// without recording a separate absolute number for each. Exits 1 on a
 /// breach (before the baseline is overwritten); a missing or unreadable
-/// baseline only warns, so the first run on a fresh checkout still
-/// bootstraps one.
+/// baseline, or one that lacks a figure, only warns, so the first run on a
+/// fresh checkout (or after a new figure is added) still bootstraps one.
 fn assert_memory_ceiling(tiers: &[ScaleTier]) {
-    let Some(budget_per_mention) = committed_bytes_per_mention() else {
+    let Some(committed) = committed_guarded_tier() else {
         eprintln!("scale: no committed BENCH_scale.json baseline — memory ceiling not enforced");
         return;
     };
+    let committed_mentions = field(&committed, "mentions").and_then(as_f64);
     let mut breached = false;
-    for tier in tiers {
-        let ceiling = budget_per_mention * tier.mentions as f64 * MEMORY_CEILING_FACTOR;
-        if tier.ctx_heap_bytes as f64 > ceiling {
-            eprintln!(
-                "scale: MEMORY CEILING EXCEEDED — tier {} profile context uses {} bytes \
-                 ({:.2} per mention), over {:.0} ({:.2} committed per mention × {} \
-                 mentions × {MEMORY_CEILING_FACTOR})",
-                tier.tier,
-                tier.ctx_heap_bytes,
-                tier.bytes_per_mention,
-                ceiling,
-                budget_per_mention,
-                tier.mentions
-            );
-            breached = true;
-        } else {
-            eprintln!(
-                "scale: tier {} memory ceiling OK — {:.2} bytes/mention within {:.2} \
-                 (committed {:.2} × {MEMORY_CEILING_FACTOR})",
-                tier.tier,
-                tier.bytes_per_mention,
-                budget_per_mention * MEMORY_CEILING_FACTOR,
-                budget_per_mention
-            );
+    for (label, name, bytes_of) in CEILINGS {
+        let budget = field(&committed, name)
+            .and_then(as_f64)
+            .zip(committed_mentions)
+            .map(|(bytes, mentions)| bytes / mentions.max(1.0));
+        let Some(budget_per_mention) = budget else {
+            eprintln!("scale: committed baseline has no {name} — {label} ceiling not enforced");
+            continue;
+        };
+        for tier in tiers {
+            let bytes = bytes_of(tier);
+            let per_mention = bytes as f64 / tier.mentions.max(1) as f64;
+            let ceiling = budget_per_mention * tier.mentions as f64 * MEMORY_CEILING_FACTOR;
+            if bytes as f64 > ceiling {
+                eprintln!(
+                    "scale: MEMORY CEILING EXCEEDED — tier {} {label} uses {bytes} bytes \
+                     ({per_mention:.2} per mention), over {ceiling:.0} ({budget_per_mention:.2} \
+                     committed per mention × {} mentions × {MEMORY_CEILING_FACTOR})",
+                    tier.tier, tier.mentions
+                );
+                breached = true;
+            } else {
+                eprintln!(
+                    "scale: tier {} {label} memory ceiling OK — {per_mention:.2} bytes/mention \
+                     within {:.2} (committed {budget_per_mention:.2} × {MEMORY_CEILING_FACTOR})",
+                    tier.tier,
+                    budget_per_mention * MEMORY_CEILING_FACTOR,
+                );
+            }
         }
     }
     if breached {
@@ -315,7 +350,7 @@ pub fn run() -> String {
     assert_memory_ceiling(&tiers);
     let guarded = &tiers[0];
     let bench = ScaleBench {
-        schema_version: 4,
+        schema_version: 5,
         threads: par.resolved_threads(),
         guarded_tier: guarded.tier.clone(),
         total_seconds: guarded.total_seconds,

@@ -8,24 +8,19 @@
 //! * [`hac`] — agglomerative clustering with single/complete/average linkage
 //!   and a distance threshold stop;
 //! * [`dbscan`] — density clustering (stands in for HDBSCAN, see DESIGN.md);
-//! * [`affinity_propagation`] — Frey & Dueck message passing;
-//! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding (test utility and
-//!   building block).
+//! * [`affinity_propagation`] — Frey & Dueck message passing.
 //!
-//! All functions are deterministic (k-means takes an explicit seed) and
-//! return dense cluster labels `0..k`.
+//! All functions are deterministic and return dense cluster labels `0..k`.
 
 #![warn(missing_docs)]
 
 mod ap;
 mod dbscan;
 mod hac;
-mod kmeans;
 
 pub use ap::{affinity_propagation, ApConfig};
 pub use dbscan::dbscan;
 pub use hac::{hac, Linkage};
-pub use kmeans::kmeans;
 
 /// Relabel arbitrary cluster ids into dense `0..k`, preserving first-seen
 /// order. Noise markers (`usize::MAX`) become singleton clusters.

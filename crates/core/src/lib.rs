@@ -47,4 +47,4 @@ pub use pipeline::{FittedState, Iuad, IuadConfig};
 pub use profile::{KeywordSlab, KeywordYears, ProfileContext, VenueCounts, VertexProfile};
 pub use scn::{EdgeData, Scn, ScnVertex};
 pub use similarity::{CacheScope, SimilarityEngine, SimilarityVector, FAMILIES, NUM_SIMILARITIES};
-pub use stages::StageTimes;
+pub use stages::{EngineHeap, StageTimes};

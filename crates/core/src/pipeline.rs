@@ -14,7 +14,7 @@ use crate::incremental::{disambiguate_mention, ingest_paper, Decision};
 use crate::profile::ProfileContext;
 use crate::scn::Scn;
 use crate::similarity::{CacheScope, SimilarityEngine};
-use crate::stages::StageTimes;
+use crate::stages::{EngineHeap, StageTimes};
 
 /// Full pipeline configuration.
 #[derive(Debug, Clone)]
@@ -70,6 +70,8 @@ pub struct Iuad {
     engine: SimilarityEngine,
     /// Wall time of each stage of the fit that produced this pipeline.
     pub stage_times: StageTimes,
+    /// Heap of both similarity engines the fit built.
+    pub engine_heap: EngineHeap,
 }
 
 impl Iuad {
@@ -114,6 +116,7 @@ impl Iuad {
             par,
             &mut times,
         );
+        let stage2_bytes = stage2_engine.heap_bytes();
         // The Stage-2 engine has served its last query: drop it before the
         // merged engine is built, so two engines are never live at once.
         drop(stage2_engine);
@@ -131,6 +134,10 @@ impl Iuad {
             )
         });
         times.set_total(start);
+        let engine_heap = EngineHeap {
+            stage2_bytes,
+            merged_bytes: engine.heap_bytes(),
+        };
         Iuad {
             config: config.clone(),
             ctx,
@@ -139,6 +146,7 @@ impl Iuad {
             network,
             engine,
             stage_times: times,
+            engine_heap,
         }
     }
 
@@ -370,6 +378,8 @@ mod tests {
         );
         assert!(times.stages().iter().all(|&(_, s)| s >= 0.0));
         assert!(times.total_seconds() >= times.seconds("merged_engine_build").unwrap());
+        assert_eq!(iuad.engine_heap.merged_bytes, iuad.engine().heap_bytes());
+        assert!(iuad.engine_heap.stage2_bytes > 0);
     }
 
     #[test]

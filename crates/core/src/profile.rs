@@ -279,16 +279,22 @@ impl KeywordYears {
     /// Build from `(keyword, year)` observations in any order.
     pub fn from_pairs(mut pairs: Vec<(u32, u16)>) -> Self {
         pairs.sort_unstable();
-        let mut out = KeywordYears::default();
-        for (w, y) in pairs {
-            if out.words.last() != Some(&w) {
-                out.words.push(w);
-                out.offsets.push(out.years.len() as u32);
-            }
-            out.years.push(y);
-            *out.offsets.last_mut().unwrap() = out.years.len() as u32;
+        // Sized exactly: profiles live for the engine's lifetime.
+        let distinct = pairs.chunk_by(|a, b| a.0 == b.0).count();
+        let mut words = Vec::with_capacity(distinct);
+        let mut offsets = Vec::with_capacity(distinct + 1);
+        let mut years = Vec::with_capacity(pairs.len());
+        offsets.push(0);
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            words.push(run[0].0);
+            years.extend(run.iter().map(|&(_, y)| y));
+            offsets.push(years.len() as u32);
         }
-        out
+        KeywordYears {
+            words,
+            offsets,
+            years,
+        }
     }
 
     /// Set the years of `word` (sorted on insertion), replacing any previous
@@ -441,6 +447,7 @@ impl VenueCounts {
                 _ => out.push((v, 1)),
             }
         }
+        out.shrink_to_fit();
         VenueCounts(out)
     }
 
@@ -555,6 +562,18 @@ pub struct VertexProfile {
 }
 
 impl VertexProfile {
+    /// Capacity-based heap bytes this profile owns: its paper list,
+    /// keyword-year buffers, venue runs and keyword centroid.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let ky = &self.keyword_years;
+        self.papers.capacity() * std::mem::size_of::<PaperId>()
+            + ky.words.capacity() * std::mem::size_of::<u32>()
+            + ky.offsets.capacity() * std::mem::size_of::<u32>()
+            + ky.years.capacity() * std::mem::size_of::<u16>()
+            + self.venue_counts.0.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.keyword_centroid.capacity() * std::mem::size_of::<f32>()
+    }
+
     /// Build a profile from the mentions of one vertex.
     pub fn from_mentions(name: NameId, mentions: &[Mention], ctx: &ProfileContext) -> Self {
         Self::from_papers_of(name, mentions.iter().map(|m| m.paper), ctx)

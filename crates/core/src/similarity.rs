@@ -83,7 +83,7 @@ pub enum CacheScope {
 pub struct SimilarityEngine {
     profiles: Vec<VertexProfile>,
     wl: Vec<SparseFeatures>,
-    tris: Vec<Vec<(u32, u32)>>,
+    tris: Vec<Box<[(u32, u32)]>>,
     /// Keyword-centroid L2 norms parallel to `profiles`, hoisting γ₃'s
     /// self-norm passes out of the pairwise loop.
     cnorm: Vec<f64>,
@@ -366,7 +366,7 @@ impl SimilarityEngine {
         });
         let n = profiles.len();
         let mut wl = vec![SparseFeatures::default(); n];
-        let mut tris = vec![Vec::new(); n];
+        let mut tris = vec![Box::default(); n];
         for (&v, (w, t)) in order.iter().zip(features) {
             wl[v.index()] = w;
             tris[v.index()] = t;
@@ -396,8 +396,7 @@ impl SimilarityEngine {
         let shared_labels: Vec<u64> = shared_sorted_lists(&label_lists);
         // `name_triangles_csr` dedups, so each triangle occurs once per
         // member — a shared-set hit really means "held by ≥ 2 vertices".
-        let tri_lists: Vec<&[(u32, u32)]> =
-            vs.iter().map(|&v| tris[v.index()].as_slice()).collect();
+        let tri_lists: Vec<&[(u32, u32)]> = vs.iter().map(|&v| &tris[v.index()][..]).collect();
         let shared_tris: Vec<(u32, u32)> = shared_sorted_lists(&tri_lists);
         let word_lists: Vec<&[u32]> = vs
             .iter()
@@ -490,6 +489,37 @@ impl SimilarityEngine {
         }
     }
 
+    /// Capacity-based heap footprint in bytes, in the style of
+    /// [`ProfileContext::heap_bytes`]: every per-vertex slab plus what each
+    /// entry owns (profile, WL features, name triangles), the centroid
+    /// norms and the γ₄ decay table. Deterministic per build, so the scale
+    /// bench commits and guards it.
+    pub fn heap_bytes(&self) -> usize {
+        fn slab<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        slab(&self.profiles)
+            + self
+                .profiles
+                .iter()
+                .map(VertexProfile::heap_bytes)
+                .sum::<usize>()
+            + slab(&self.wl)
+            + self
+                .wl
+                .iter()
+                .map(SparseFeatures::heap_bytes)
+                .sum::<usize>()
+            + slab(&self.tris)
+            + self
+                .tris
+                .iter()
+                .map(|t| std::mem::size_of_val::<[(u32, u32)]>(t))
+                .sum::<usize>()
+            + slab(&self.cnorm)
+            + slab(&self.g4_exp)
+    }
+
     /// First difference between two engines' cached state, or `None` when
     /// they are bit-identical — the checkable face of the
     /// refresh-vs-rebuild contract. Floats compare by bit pattern, not
@@ -563,7 +593,7 @@ impl SimilarityEngine {
     /// (names, not vertex ids, so that structurally parallel cliques
     /// coincide), via sorted-merge neighbour intersection over a frozen
     /// [`Csr`] snapshot.
-    fn name_triangles_csr(csr: &Csr, scn: &Scn, v: VertexId) -> Vec<(u32, u32)> {
+    fn name_triangles_csr(csr: &Csr, scn: &Scn, v: VertexId) -> Box<[(u32, u32)]> {
         let mut out: Vec<(u32, u32)> = triangles_of_csr(csr, v)
             .into_iter()
             .map(|(x, y)| {
@@ -574,7 +604,7 @@ impl SimilarityEngine {
             .collect();
         out.sort_unstable();
         out.dedup();
-        out
+        out.into_boxed_slice()
     }
     /// The cached profile of a vertex.
     pub fn profile(&self, v: VertexId) -> &VertexProfile {
@@ -609,7 +639,7 @@ impl SimilarityEngine {
             );
             // Slabs stay parallel to `profiles`.
             self.wl.push(self.star_features(delta.name.0, &[]));
-            self.tris.push(Vec::new());
+            self.tris.push(Box::default());
             self.cnorm.push(0.0);
             self.profiles.push(delta.clone());
         }

@@ -1,7 +1,8 @@
-//! Stage timings recorded by [`crate::Iuad::fit`] itself, so the perf and
-//! scale benches report the cost of the shipped fit instead of timing a
-//! copy of its stage sequence. Std-only and always on: a fit reads the
-//! clock about a dozen times, and no fitted output depends on a timing.
+//! Stage timings and engine heap recorded by [`crate::Iuad::fit`] itself,
+//! so the perf and scale benches report the cost of the shipped fit
+//! instead of timing a copy of its stage sequence. Std-only and always on:
+//! a fit reads the clock about a dozen times, sums two heap figures, and
+//! no fitted output depends on either.
 
 use std::time::Instant;
 
@@ -51,4 +52,16 @@ impl StageTimes {
     pub(crate) fn set_total(&mut self, since: Instant) {
         self.total_seconds = since.elapsed().as_secs_f64();
     }
+}
+
+/// Capacity-based heap of the two similarity engines a fit builds
+/// ([`crate::SimilarityEngine::heap_bytes`]), taken as each build
+/// finishes. The fit drops the Stage-2 engine before it builds the merged
+/// one, so only the fit can record both.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineHeap {
+    /// The Stage-2 engine over the Stage-1 network.
+    pub stage2_bytes: usize,
+    /// The merged engine over the final network, as built.
+    pub merged_bytes: usize,
 }

@@ -24,22 +24,30 @@ use std::cell::RefCell;
 use crate::csr::Csr;
 use crate::graph::{AdjGraph, VertexId};
 
-/// Sparse WL feature vector in struct-of-arrays layout: strictly ascending
-/// `labels` with `counts` parallel to them, plus the precomputed L2 norm of
-/// the counts.
+/// Sparse WL feature vector: strictly ascending labels, the few counts
+/// that are not 1, and the precomputed L2 norm of the counts.
 ///
-/// The split layout keeps the kernel's merge join scanning a contiguous
-/// `u64` array (half the memory traffic of `(u64, u32)` pairs padded to 16
-/// bytes); counts are only touched on a label match, which is the rare case
-/// between distinct vertices.
+/// Almost every refined WL label occurs once in an ego graph (≈99% of
+/// entries at 100k papers), so a count is stored only where it differs
+/// from 1. Each vector is one allocation: its `len` labels, followed by an
+/// exception list of `(index << 32) | count` words, one per label whose
+/// count is not 1, ascending by index. Every reader walks that list with
+/// a forward cursor (`Counts`) while it walks the labels, so reading a
+/// count costs no lookup.
 ///
-/// Invariants: `labels` is strictly ascending, `counts.len() ==
-/// labels.len()`, and `norm == sqrt(Σ count²)`. All are established by
-/// every constructor.
+/// Invariants: the labels are strictly ascending; the exception list is
+/// strictly ascending by index and holds exactly the entries whose count
+/// is not 1, so the layout is canonical and equality is a slice compare;
+/// and `norm == sqrt(Σ count²)`. All are established by every constructor
+/// except [`Self::intersect_labels`], which keeps its source's norm. The
+/// kernel and the norm sum the same integer products in the same label
+/// order as a dense count array would, so every similarity is exact and
+/// independent of the layout.
 #[derive(Debug, Clone, Default)]
 pub struct SparseFeatures {
-    labels: Vec<u64>,
-    counts: Vec<u32>,
+    /// `len` labels, then the exception words.
+    data: Box<[u64]>,
+    len: usize,
     norm: f64,
 }
 
@@ -47,7 +55,46 @@ impl PartialEq for SparseFeatures {
     fn eq(&self, other: &Self) -> bool {
         // The norm is derived from the entries, so it carries no extra
         // information — comparing it would only trip on f64 rounding.
-        self.labels == other.labels && self.counts == other.counts
+        self.len == other.len && self.data == other.data
+    }
+}
+
+/// Pack one exception word: a label's index and its count (≠ 1).
+#[inline]
+fn exception(index: usize, count: u32) -> u64 {
+    let index = u32::try_from(index).expect("SparseFeatures index exceeds u32");
+    (u64::from(index) << 32) | u64::from(count)
+}
+
+/// Forward-only reader of one vector's exception list: the count of the
+/// label at index `i`, for strictly increasing `i`: over one pass, each
+/// exception word is read once.
+struct Counts<'a> {
+    exceptions: &'a [u64],
+    at: usize,
+}
+
+impl<'a> Counts<'a> {
+    fn new(f: &'a SparseFeatures) -> Self {
+        Counts {
+            exceptions: f.exceptions(),
+            at: 0,
+        }
+    }
+
+    #[inline]
+    fn at(&mut self, i: usize) -> u32 {
+        while let Some(&e) = self.exceptions.get(self.at) {
+            let index = (e >> 32) as usize;
+            if index > i {
+                break;
+            }
+            self.at += 1;
+            if index == i {
+                return e as u32;
+            }
+        }
+        1
     }
 }
 
@@ -60,27 +107,17 @@ impl SparseFeatures {
         Self::from_sorted_labels(&raw)
     }
 
-    /// Run-length encode an already ascending label multiset. Two passes:
-    /// count the distinct labels first so the output vectors are allocated
-    /// exactly once at their final size (these vectors live for the whole
-    /// engine lifetime, so no growth slack is carried either).
+    /// Run-length encode an already ascending label multiset.
     fn from_sorted_labels(sorted: &[u64]) -> Self {
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
         if sorted.is_empty() {
             return SparseFeatures::default();
         }
-        let distinct = 1 + sorted.windows(2).filter(|w| w[0] != w[1]).count();
-        let mut labels: Vec<u64> = Vec::with_capacity(distinct);
-        let mut counts: Vec<u32> = Vec::with_capacity(distinct);
-        for &l in sorted {
-            if labels.last() == Some(&l) {
-                *counts.last_mut().unwrap() += 1;
-            } else {
-                labels.push(l);
-                counts.push(1);
-            }
-        }
-        Self::seal(labels, counts)
+        Self::pack(
+            sorted
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as u32)),
+        )
     }
 
     /// Build from `(label, count)` pairs in any order; duplicate labels are
@@ -88,48 +125,61 @@ impl SparseFeatures {
     pub fn from_counts(pairs: impl IntoIterator<Item = (u64, u32)>) -> Self {
         let mut pairs: Vec<(u64, u32)> = pairs.into_iter().collect();
         pairs.sort_unstable();
-        let mut labels: Vec<u64> = Vec::new();
-        let mut counts: Vec<u32> = Vec::new();
+        let mut merged: Vec<(u64, u32)> = Vec::with_capacity(pairs.len());
         for (l, c) in pairs {
-            if labels.last() == Some(&l) {
-                *counts.last_mut().unwrap() += c;
-            } else {
-                labels.push(l);
-                counts.push(c);
+            match merged.last_mut() {
+                Some((last, total)) if *last == l => *total += c,
+                _ => merged.push((l, c)),
             }
         }
-        Self::seal(labels, counts)
+        Self::pack(merged.into_iter())
     }
 
-    /// Seal label-sorted, duplicate-free parallel arrays with their norm.
-    fn seal(labels: Vec<u64>, counts: Vec<u32>) -> Self {
-        debug_assert_eq!(labels.len(), counts.len());
-        debug_assert!(labels.windows(2).all(|w| w[0] < w[1]));
-        let norm = counts
-            .iter()
-            .map(|&c| f64::from(c) * f64::from(c))
+    /// Pack strictly ascending `(label, count)` entries with their norm,
+    /// the squares summed in label order exactly as over a dense count
+    /// array. The entries are walked three times: for the norm, to size the
+    /// buffer so it is allocated once at its final length (these vectors
+    /// live for the whole engine lifetime, so no growth slack is carried),
+    /// and to write each label and, for a count that is not 1, its
+    /// exception word.
+    fn pack(entries: impl Iterator<Item = (u64, u32)> + Clone) -> Self {
+        let norm = entries
+            .clone()
+            .map(|(_, c)| f64::from(c) * f64::from(c))
             .sum::<f64>()
             .sqrt();
-        SparseFeatures {
-            labels,
-            counts,
-            norm,
+        let (len, exceptions) = entries
+            .clone()
+            .fold((0, 0), |(n, e), (_, c)| (n + 1, e + usize::from(c != 1)));
+        let mut data = vec![0u64; len + exceptions].into_boxed_slice();
+        let mut next = len;
+        for (i, (label, c)) in entries.enumerate() {
+            data[i] = label;
+            if c != 1 {
+                data[next] = exception(i, c);
+                next += 1;
+            }
         }
+        let f = SparseFeatures { data, len, norm };
+        debug_assert!(f.labels().windows(2).all(|w| w[0] < w[1]));
+        f
     }
 
     /// Number of distinct labels.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.len
     }
 
     /// Whether the feature vector is empty.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.len == 0
     }
 
     /// Total label occurrences (the multiset cardinality).
     pub fn total_count(&self) -> u64 {
-        self.counts.iter().map(|&c| u64::from(c)).sum()
+        let exceptions = self.exceptions();
+        let others: u64 = exceptions.iter().map(|&e| u64::from(e as u32)).sum();
+        (self.len - exceptions.len()) as u64 + others
     }
 
     /// Precomputed L2 norm `sqrt(K(self, self))`.
@@ -139,17 +189,28 @@ impl SparseFeatures {
 
     /// The strictly ascending labels.
     pub fn labels(&self) -> &[u64] {
-        &self.labels
+        &self.data[..self.len]
     }
 
-    /// Counts parallel to [`Self::labels`].
-    pub fn counts(&self) -> &[u32] {
-        &self.counts
+    /// The packed `(index << 32) | count` words of the counts that are
+    /// not 1, ascending by index.
+    fn exceptions(&self) -> &[u64] {
+        &self.data[self.len..]
     }
 
     /// Iterate `(label, count)` in ascending label order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.labels.iter().copied().zip(self.counts.iter().copied())
+        let mut counts = Counts::new(self);
+        self.labels()
+            .iter()
+            .enumerate()
+            .map(move |(i, &l)| (l, counts.at(i)))
+    }
+
+    /// Heap bytes owned by this vector: the labels and the exception
+    /// list, one allocation.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val::<[u64]>(&self.data)
     }
 
     /// A join-optimised copy that keeps only the entries whose label is in
@@ -165,16 +226,13 @@ impl SparseFeatures {
     /// still normalises by the full self-kernels — bit-identical results
     /// from a fraction of the scan length.
     pub fn intersect_labels(&self, keep: &[u64]) -> SparseFeatures {
-        let mut labels = Vec::new();
-        let mut counts = Vec::new();
-        join_ascending(&self.labels, keep, |i| {
-            labels.push(self.labels[i]);
-            counts.push(self.counts[i]);
-        });
+        let labels = self.labels();
+        let mut counts = Counts::new(self);
+        let mut kept: Vec<(u64, u32)> = Vec::new();
+        join_ascending(labels, keep, |i| kept.push((labels[i], counts.at(i))));
         SparseFeatures {
-            labels,
-            counts,
             norm: self.norm,
+            ..Self::pack(kept.into_iter())
         }
     }
 }
@@ -506,22 +564,24 @@ pub fn join_ascending<T: Ord + Copy>(keys: &[T], keep: &[T], mut on_match: impl 
 /// whole subtree shapes), so the join is written for the mismatch case: a
 /// branchless advance over the label arrays, and a galloping (binary
 /// probing) variant when one side is ≥ `GALLOP_RATIO`× larger — the
-/// hub-versus-singleton shape common in same-name candidate sets. Shared
-/// labels are accumulated in ascending order in every path, so all
+/// hub-versus-singleton shape common in same-name candidate sets. A match
+/// reads both counts through forward cursors into the exception lists.
+/// Shared labels are accumulated in ascending order in every path, so all
 /// variants produce bit-identical sums.
 pub fn kernel(a: &SparseFeatures, b: &SparseFeatures) -> f64 {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if small.len().saturating_mul(GALLOP_RATIO) < large.len() {
         return kernel_gallop(small, large);
     }
-    let (la, lb) = (a.labels.as_slice(), b.labels.as_slice());
+    let (la, lb) = (a.labels(), b.labels());
+    let (mut ca, mut cb) = (Counts::new(a), Counts::new(b));
     let mut i = 0;
     let mut j = 0;
     let mut dot = 0.0;
     while i < la.len() && j < lb.len() {
         let (x, y) = (la[i], lb[j]);
         if x == y {
-            dot += f64::from(a.counts[i]) * f64::from(b.counts[j]);
+            dot += f64::from(ca.at(i)) * f64::from(cb.at(j));
             i += 1;
             j += 1;
         } else {
@@ -536,15 +596,17 @@ pub fn kernel(a: &SparseFeatures, b: &SparseFeatures) -> f64 {
 /// Kernel for heavily skewed sizes: for each label of `small`, gallop the
 /// remaining suffix of `large` by binary search.
 fn kernel_gallop(small: &SparseFeatures, large: &SparseFeatures) -> f64 {
+    let (ls, ll) = (small.labels(), large.labels());
+    let (mut cs, mut cl) = (Counts::new(small), Counts::new(large));
     let mut lo = 0usize;
     let mut dot = 0.0;
-    for (i, &l) in small.labels.iter().enumerate() {
-        let idx = lo + large.labels[lo..].partition_point(|&x| x < l);
-        if idx == large.labels.len() {
+    for (i, &l) in ls.iter().enumerate() {
+        let idx = lo + ll[lo..].partition_point(|&x| x < l);
+        if idx == ll.len() {
             break;
         }
-        if large.labels[idx] == l {
-            dot += f64::from(small.counts[i]) * f64::from(large.counts[idx]);
+        if ll[idx] == l {
+            dot += f64::from(cs.at(i)) * f64::from(cl.at(idx));
             lo = idx + 1;
         } else {
             lo = idx;
@@ -655,6 +717,17 @@ mod tests {
         let b = SparseFeatures::from_counts([(1, 2), (3, 5)]);
         assert_eq!(a, b);
         assert_eq!(a.total_count(), 7);
+    }
+
+    #[test]
+    fn only_counts_other_than_one_take_storage() {
+        let ones = SparseFeatures::from_labels(vec![9, 3, 7]);
+        assert_eq!(ones.heap_bytes(), ones.len() * std::mem::size_of::<u64>());
+        let mixed = SparseFeatures::from_labels(vec![9, 3, 3, 7, 9, 9]);
+        assert_eq!(mixed.heap_bytes(), (3 + 2) * std::mem::size_of::<u64>());
+        assert_eq!(mixed.iter().collect::<Vec<_>>(), [(3, 2), (7, 1), (9, 3)]);
+        assert_eq!(mixed, SparseFeatures::from_counts([(7, 1), (9, 3), (3, 2)]));
+        assert_eq!(mixed.norm().to_bits(), 14f64.sqrt().to_bits());
     }
 
     #[test]

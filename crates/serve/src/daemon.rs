@@ -38,6 +38,7 @@ use rustc_hash::FxHashMap;
 use serde::Value;
 
 use crate::checkpoint::CheckpointMeta;
+use crate::client::{response_ok, response_shed};
 use crate::fault::FaultInjector;
 use crate::replica::{ReplicaStatus, ReplicationHub, Role};
 use crate::snapshot::EpochStore;
@@ -100,7 +101,8 @@ pub struct DaemonStats {
     pub shed_ingest_full: AtomicU64,
     /// Papers accepted into the network.
     pub ingested: AtomicU64,
-    /// Malformed or failed requests.
+    /// Requests answered with an error: every `ok: false` reply that is
+    /// not a shed, plus over-long lines.
     pub errors: AtomicU64,
     /// Ingest requests currently queued or being applied (gauge).
     pub queue_depth: AtomicU64,
@@ -544,13 +546,15 @@ fn serve_connection(stream: TcpStream, ctx: &WorkerCtx) -> ConnState {
                 let response = match std::str::from_utf8(&line).map(str::trim) {
                     Ok("") => None,
                     Ok(request) => Some(handle_request(request, ctx)),
-                    Err(_) => {
-                        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                        Some(err_response("request is not UTF-8"))
-                    }
+                    Err(_) => Some(err_response("request is not UTF-8")),
                 };
                 line.clear();
                 if let Some(response) = response {
+                    // Every refusal that is not a shed counts, whichever
+                    // handler refused.
+                    if !response_ok(&response) && !response_shed(&response) {
+                        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
+                    }
                     let Ok(json) = serde_json::to_string(&response) else {
                         return ConnState::Closed;
                     };
@@ -585,11 +589,9 @@ fn serve_connection(stream: TcpStream, ctx: &WorkerCtx) -> ConnState {
 
 fn handle_request(line: &str, ctx: &WorkerCtx) -> Value {
     let Ok(request) = serde_json::from_str::<Value>(line) else {
-        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("malformed request");
     };
     if request.as_object().is_none() {
-        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("request must be an object");
     }
     match get::<String>(&request, "op").as_deref() {
@@ -605,10 +607,7 @@ fn handle_request(line: &str, ctx: &WorkerCtx) -> Value {
             ctx.shutdown.store(true, Ordering::Relaxed);
             object(vec![("ok", Value::Bool(true))])
         }
-        _ => {
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            err_response("unknown or missing op")
-        }
+        _ => err_response("unknown or missing op"),
     }
 }
 
@@ -631,7 +630,6 @@ fn whois(request: &Value, ctx: &WorkerCtx) -> Value {
         Err(shed) => return shed,
     };
     let Ok(name) = get::<u64>(request, "name") else {
-        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("whois requires a numeric `name`");
     };
     let name = name as u32;
@@ -671,7 +669,6 @@ fn profile(request: &Value, ctx: &WorkerCtx) -> Value {
         Err(shed) => return shed,
     };
     let Ok(vertex) = get::<u64>(request, "vertex") else {
-        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("profile requires a numeric `vertex`");
     };
     let snapshot = ctx.store.load();
@@ -704,7 +701,6 @@ fn name_group(request: &Value, ctx: &WorkerCtx) -> Value {
         Err(shed) => return shed,
     };
     let Ok(name) = get::<u64>(request, "name") else {
-        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("name_group requires a numeric `name`");
     };
     let snapshot = ctx.store.load();
@@ -723,22 +719,18 @@ fn name_group(request: &Value, ctx: &WorkerCtx) -> Value {
 
 fn ingest(request: &Value, ctx: &WorkerCtx) -> Value {
     let Some(ingest_tx) = &ctx.ingest_tx else {
-        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("read-only replica: ingest at the primary");
     };
     let Ok(authors) = get::<Vec<u32>>(request, "authors") else {
-        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("ingest requires an `authors` array");
     };
     if authors.is_empty() {
-        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response("ingest requires a non-empty `authors` array");
     }
     // The id is rewritten by the ingest thread.
     let authors = authors.into_iter().map(NameId).collect();
     let paper = request_paper(request, PaperId(0), authors);
     if WalRecord::widest_frame_len(&paper) > MAX_LINE_BYTES {
-        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return err_response(&format!(
             "paper too large: its logged record could pass {MAX_LINE_BYTES} bytes"
         ));
@@ -787,10 +779,7 @@ fn ingest(request: &Value, ctx: &WorkerCtx) -> Value {
                 ("decisions", Value::Array(rendered)),
             ])
         }
-        Err(_) => {
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            err_response("ingest thread unavailable")
-        }
+        Err(_) => err_response("ingest thread unavailable"),
     }
 }
 

@@ -294,6 +294,43 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&nk));
     }
 
+    /// `SparseFeatures` stores only the counts that are not 1, yet keeps
+    /// every count: `from_counts` round-trips through `iter` and
+    /// `total_count`; `intersect_labels` keeps each retained label's count
+    /// and the source's norm bits; and the kernel over two copies cut to a
+    /// label set holding every shared label equals the kernel over the
+    /// originals.
+    #[test]
+    fn sparse_features_keep_every_count(
+        a in prop::collection::vec((0u64..60, 1u32..5), 0..50),
+        b in prop::collection::vec((0u64..60, 1u32..5), 0..400),
+        extra in prop::collection::btree_set(0u64..60, 0..20),
+    ) {
+        let summed = |pairs: &[(u64, u32)]| {
+            let mut m: BTreeMap<u64, u32> = BTreeMap::new();
+            for &(l, c) in pairs {
+                *m.entry(l).or_default() += c;
+            }
+            m
+        };
+        let (ma, mb) = (summed(&a), summed(&b));
+        let fa = SparseFeatures::from_counts(a.iter().copied());
+        let fb = SparseFeatures::from_counts(b.iter().copied());
+        prop_assert_eq!(fa.iter().collect::<Vec<_>>(), ma.clone().into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(fa.total_count(), a.iter().map(|&(_, c)| u64::from(c)).sum::<u64>());
+        prop_assert_eq!(&SparseFeatures::from_counts(fa.iter()), &fa);
+
+        let mut keep: Vec<u64> = ma.keys().filter(|l| mb.contains_key(l)).copied().collect();
+        keep.extend(&extra);
+        keep.sort_unstable();
+        keep.dedup();
+        let (ca, cb) = (fa.intersect_labels(&keep), fb.intersect_labels(&keep));
+        let kept: Vec<(u64, u32)> = ma.iter().filter(|(l, _)| keep.contains(l)).map(|(&l, &c)| (l, c)).collect();
+        prop_assert_eq!(ca.iter().collect::<Vec<_>>(), kept);
+        prop_assert_eq!(ca.norm().to_bits(), fa.norm().to_bits());
+        prop_assert_eq!(kernel(&ca, &cb).to_bits(), kernel(&fa, &fb).to_bits());
+    }
+
     /// γ₄'s keyword merge join + two-pointer year scan agrees exactly with
     /// the straightforward hash-map + nested-loop reference.
     #[test]

@@ -1021,6 +1021,120 @@ fn assert_hostile_line_refused(payload: &[u8], expect: &str, closes: bool) {
     daemon.shutdown();
 }
 
+/// One fitted base for the hostile-request proptest: each case serves a
+/// fresh daemon over a copy of it (a fit per case would dominate the
+/// suite's runtime).
+fn hostile_base() -> &'static ServeState {
+    static BASE: OnceLock<ServeState> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let (base, _) = corpus().split_tail(50);
+        ServeState::new(Iuad::fit(&base, &IuadConfig::default()), None)
+    })
+}
+
+/// Read requests that [`hostile_line`] damages, so that some hostile
+/// lines get past the JSON parse into each op's field checks. The second
+/// `profile` names a vertex out of range.
+const REQUEST_TEMPLATES: [&str; 5] = [
+    r#"{"op":"whois","name":3,"coauthors":[5,8],"title":"graph mining","venue":2,"year":2001}"#,
+    r#"{"op":"profile","vertex":7}"#,
+    r#"{"op":"profile","vertex":999999}"#,
+    r#"{"op":"name_group","name":1}"#,
+    r#"{"op":"health"}"#,
+];
+
+/// One request line without its newline. Kind 0 is `junk` itself; kind
+/// `k > 0` is template `k - 1` with its tail cut off, one byte xored, or
+/// left whole, by `pos % 3`.
+fn hostile_line(kind: usize, junk: &[u16], pos: usize, xor: u8) -> Vec<u8> {
+    let mut line = match kind.checked_sub(1) {
+        None => junk.iter().map(|&b| b as u8).collect(),
+        Some(t) => {
+            let mut line = REQUEST_TEMPLATES[t].as_bytes().to_vec();
+            match pos % 3 {
+                0 => line.truncate(pos / 3 % (line.len() + 1)),
+                1 => {
+                    let at = pos / 3 % line.len();
+                    line[at] ^= xor;
+                }
+                _ => {}
+            }
+            line
+        }
+    };
+    line.retain(|&b| b != b'\n');
+    line
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Arbitrary request lines on one connection. The daemon ignores a
+    /// blank line and answers every other line with exactly one reply on
+    /// the same connection, so a worker that panicked on a line shows up
+    /// as a missing reply. A line is accepted only if it is a JSON object
+    /// naming a known op; every refusal counts one `errors`. Afterwards
+    /// `health` and a `whois` still answer on a new connection.
+    #[test]
+    fn hostile_request_lines_are_refused_and_counted(
+        specs in prop::collection::vec(
+            (0usize..REQUEST_TEMPLATES.len() + 1, prop::collection::vec(0u16..256, 0..160), 0usize..4096, 1u8..255),
+            1..24,
+        ),
+    ) {
+        use std::io::{BufRead, BufReader, Write};
+
+        let daemon = Daemon::spawn(hostile_base().clone_base(), &DaemonConfig::default())
+            .expect("spawn daemon");
+        let errors_before = daemon.stats().errors.load(Ordering::Relaxed);
+        let mut stream = std::net::TcpStream::connect(daemon.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut refused = 0u64;
+        for (kind, junk, pos, xor) in &specs {
+            let line = &hostile_line(*kind, junk, *pos, *xor);
+            if std::str::from_utf8(line).is_ok_and(|l| l.trim().is_empty()) {
+                continue;
+            }
+            stream.write_all(line).expect("send line");
+            stream.write_all(b"\n").expect("send newline");
+            let mut reply = String::new();
+            let read = reader.read_line(&mut reply).expect("read reply");
+            prop_assert!(read > 0, "connection closed on {:?}", String::from_utf8_lossy(line));
+            let reply: Value = serde_json::from_str(&reply).expect("reply is JSON");
+            prop_assert!(!response_shed(&reply), "a lone client was shed: {:?}", reply);
+            if response_ok(&reply) {
+                let request = std::str::from_utf8(line)
+                    .ok()
+                    .and_then(|l| serde_json::from_str::<Value>(l).ok());
+                let op = request.as_ref().and_then(|r| response_field(r, "op"));
+                prop_assert!(
+                    matches!(op, Some(Value::Str(op)) if ["whois", "profile", "name_group", "health"].contains(&op.as_str())),
+                    "accepted a non-request line {:?}",
+                    String::from_utf8_lossy(line)
+                );
+            } else {
+                refused += 1;
+            }
+        }
+        prop_assert_eq!(
+            daemon.stats().errors.load(Ordering::Relaxed),
+            errors_before + refused
+        );
+
+        let mut client = Client::connect(daemon.addr()).expect("connect after the hostile lines");
+        let health = client.call(&Client::request("health", vec![])).expect("health");
+        prop_assert!(response_ok(&health), "health after hostile lines: {:?}", health);
+        let whois = client
+            .call(&Client::request("whois", vec![("name", Value::U64(1))]))
+            .expect("whois");
+        prop_assert!(response_ok(&whois), "whois after hostile lines: {:?}", whois);
+        daemon.shutdown();
+    }
+}
+
 /// A request line of 100,000 `[` is refused as malformed. The JSON parser
 /// recurses once per nesting level, so without a depth cap this line runs
 /// a worker off its 2 MiB stack, and a stack overflow aborts the whole
