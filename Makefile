@@ -32,9 +32,11 @@ bench-smoke:
 
 # What the CI `bench-build` job runs: compile the repository benchmark
 # (its own workspace under benchmark/), so a core API change that breaks
-# it fails CI.
+# it fails CI, then fail if the build rewrote benchmark/Cargo.lock (a
+# dependency edit in a shipped crate must not silently change the lock).
 bench-build:
 	cargo build --release --offline --manifest-path benchmark/Cargo.toml
+	git diff --exit-code benchmark/Cargo.lock
 
 # Regenerate the committed single-threaded perf baseline
 # (BENCH_pipeline.json; schema in README § Performance).

@@ -1,9 +1,9 @@
 //! Criterion bench for Stage-1 mining (supports Fig. 3 / Table V):
-//! frequent-pair counting (η-SCRs) and general FP-growth on co-author lists.
+//! frequent-pair counting (η-SCRs) on co-author lists.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use iuad_corpus::{Corpus, CorpusConfig};
-use iuad_fpgrowth::{pairs::frequent_pairs, FpGrowth};
+use iuad_fpgrowth::pairs::frequent_pairs;
 
 fn name_lists(papers: usize) -> Vec<Vec<u32>> {
     let corpus = Corpus::generate(&CorpusConfig {
@@ -31,9 +31,6 @@ fn bench_mining(c: &mut Criterion) {
         let lists = name_lists(papers);
         group.bench_function(format!("frequent_pairs/{papers}"), |b| {
             b.iter(|| frequent_pairs(lists.iter().map(Vec::as_slice), black_box(2)));
-        });
-        group.bench_function(format!("fpgrowth_full/{papers}"), |b| {
-            b.iter(|| FpGrowth::new(2).with_max_len(3).mine(black_box(&lists)));
         });
     }
     group.finish();

@@ -32,7 +32,8 @@ pub enum MergePolicy {
     /// Average-linkage agglomeration per name over the same scores: merge
     /// the two clusters with the highest *mean* pairwise score while that
     /// mean ≥ δ. Same δ semantics, no chaining. The default; the
-    /// `ablation-merge-policy` experiment quantifies the difference.
+    /// `ablation-delta` sweep (`repro ablation-delta`) scores both policies
+    /// at every δ it tries.
     #[default]
     AverageLinkage,
 }
@@ -163,7 +164,7 @@ fn candidate_groups(scn: &Scn) -> Vec<&[VertexId]> {
 /// Build the training rows: a seeded `sample_frac` sample of candidate
 /// vectors, optionally augmented with synthetic matched rows from vertex
 /// splitting (§V-F2). Returns `(rows, anchors)`: split rows are *known*
-/// matched pairs and carry a pinned responsibility for semi-supervised EM;
+/// matched pairs and carry a pinned responsibility for anchored EM;
 /// sampled candidate rows are unanchored (`None`).
 ///
 /// The split rows' structural features (γ₁, γ₂) are replaced by the sample
@@ -389,12 +390,6 @@ fn densify(uf: &mut UnionFind, n: usize) -> (Vec<usize>, usize, usize) {
     (cluster_of, next, merges)
 }
 
-/// Labelled knowledge for the semi-supervised extension (§VII future work):
-/// vertex pairs known to be the same author (true) or different (false).
-/// Implemented here because the anchored-EM machinery of §V-F2 already
-/// supports it: labels become pinned responsibilities.
-pub type LabeledPair = ((VertexId, VertexId), bool);
-
 /// The Stage-2 result.
 #[derive(Debug, Clone)]
 pub struct Gcn {
@@ -433,29 +428,7 @@ impl Gcn {
         cfg: &GcnConfig,
         par: &ParallelConfig,
     ) -> Gcn {
-        Self::build_inner(scn, ctx, engine, cfg, &[], par, &mut StageTimes::default())
-    }
-
-    /// Semi-supervised Stage 2: like [`Gcn::build`], but additionally pins
-    /// the responsibilities of `labels` (known matched/unmatched vertex
-    /// pairs, e.g. from manual curation) during EM. The paper names this
-    /// extension as future work; anchored EM makes it direct.
-    pub fn build_semi_supervised(
-        scn: &Scn,
-        ctx: &ProfileContext,
-        engine: &SimilarityEngine,
-        cfg: &GcnConfig,
-        labels: &[LabeledPair],
-    ) -> Gcn {
-        Self::build_inner(
-            scn,
-            ctx,
-            engine,
-            cfg,
-            labels,
-            &ParallelConfig::sequential(),
-            &mut StageTimes::default(),
-        )
+        Self::build_inner(scn, ctx, engine, cfg, par, &mut StageTimes::default())
     }
 
     /// The one Stage-2 body behind every `build*` entry point and
@@ -465,7 +438,6 @@ impl Gcn {
         ctx: &ProfileContext,
         engine: &SimilarityEngine,
         cfg: &GcnConfig,
-        labels: &[LabeledPair],
         par: &ParallelConfig,
         times: &mut StageTimes,
     ) -> Gcn {
@@ -477,16 +449,7 @@ impl Gcn {
         drop(evidence);
         let all_features: Vec<usize> = (0..NUM_SIMILARITIES).collect();
         let model = times.time("mixture_fit", || {
-            let (mut rows, mut anchors) = training_rows(&data, scn, ctx, engine, cfg);
-            for &((a, b), matched) in labels {
-                let key = (a.min(b), a.max(b));
-                // Locate the labelled pair's γ-vector among the candidates; a
-                // pair that is not a candidate (different names) is ignored.
-                if let Some(i) = data.pairs.iter().position(|&p| p == key) {
-                    rows.push(data.vectors[i].to_vec());
-                    anchors.push(Some(if matched { 0.99 } else { 0.01 }));
-                }
-            }
+            let (rows, anchors) = training_rows(&data, scn, ctx, engine, cfg);
             fit_model(&rows, &anchors, &all_features, &cfg.em)
         });
         let (cluster_of_vertex, num_clusters, num_merges) =
@@ -753,36 +716,6 @@ mod tests {
             assert_eq!(scores.len(), data.pairs.len());
             assert!(scores.iter().all(|s| s.is_finite()), "feature {f}");
         }
-    }
-
-    #[test]
-    fn semi_supervised_uses_labels() {
-        let (c, scn, ctx) = setup();
-        let engine = SimilarityEngine::build(&scn, &ctx, 0.62, 2);
-        let data = candidate_pair_data(&scn, &ctx, &engine);
-        // Label the first 30 candidate pairs with ground truth.
-        let majority = |v: iuad_graph::VertexId| -> u32 {
-            let mut counts = FxHashMap::default();
-            for m in &scn.graph.vertex(v).mentions {
-                *counts.entry(c.truth_of(*m).0).or_insert(0usize) += 1;
-            }
-            counts
-                .into_iter()
-                .max_by_key(|&(a, n)| (n, std::cmp::Reverse(a)))
-                .map(|(a, _)| a)
-                .unwrap()
-        };
-        let labels: Vec<_> = data
-            .pairs
-            .iter()
-            .take(30)
-            .map(|&(a, b)| ((a, b), majority(a) == majority(b)))
-            .collect();
-        let semi = Gcn::build_semi_supervised(&scn, &ctx, &engine, &GcnConfig::default(), &labels);
-        let unsup = Gcn::build(&scn, &ctx, &engine, &GcnConfig::default());
-        // Both are valid partitions covering all vertices.
-        assert_eq!(semi.cluster_of_vertex.len(), unsup.cluster_of_vertex.len());
-        assert!(semi.model.is_some());
     }
 
     #[test]

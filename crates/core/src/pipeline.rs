@@ -107,15 +107,7 @@ impl Iuad {
                 par,
             )
         });
-        let gcn = Gcn::build_inner(
-            &scn,
-            &ctx,
-            &stage2_engine,
-            &config.gcn,
-            &[],
-            par,
-            &mut times,
-        );
+        let gcn = Gcn::build_inner(&scn, &ctx, &stage2_engine, &config.gcn, par, &mut times);
         let stage2_bytes = stage2_engine.heap_bytes();
         // The Stage-2 engine has served its last query: drop it before the
         // merged engine is built, so two engines are never live at once.

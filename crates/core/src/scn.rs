@@ -97,18 +97,6 @@ impl Scn {
             .map(|m| self.assignment[m].index())
             .collect()
     }
-
-    /// Number of vertices carrying at least one stable (SCR) edge.
-    pub fn num_stable_vertices(&self) -> usize {
-        self.graph
-            .vertices()
-            .filter(|&(v, _)| {
-                self.graph
-                    .neighbors(v)
-                    .any(|(_, e)| e.scr_support >= self.eta)
-            })
-            .count()
-    }
 }
 
 /// The global (cross-name) part of SCN construction: mined η-SCRs plus the

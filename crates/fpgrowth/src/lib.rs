@@ -1,66 +1,28 @@
-//! Frequent-itemset mining substrate.
+//! η-SCR mining as frequent-pair counting.
 //!
 //! Stage 1 of IUAD mines η-stable collaborative relations — name pairs
-//! co-occurring at least η times in co-author lists — which the paper finds
-//! with the FP-growth algorithm (Han, Pei & Yin, SIGMOD 2000). This crate
-//! provides:
+//! co-occurring at least η times in co-author lists. The paper finds them
+//! with FP-growth (Han, Pei & Yin, SIGMOD 2000), but an η-SCR is a
+//! 2-itemset, and FP-growth restricted to itemsets of length two is just
+//! pair counting: one pass over each transaction's unordered pairs, one
+//! hash map of supports, one threshold. [`pairs`] is that counter; it also
+//! yields the pair-frequency histogram of Fig. 3(b).
 //!
-//! * [`FpGrowth`] — full FP-tree based frequent-itemset mining with optional
-//!   maximum itemset length;
-//! * [`apriori`] — a small Apriori implementation used as a *test oracle*
-//!   (slow but obviously correct);
-//! * [`pairs`] — a specialised frequent-pair counter: the exact workload of
-//!   η-SCR mining, and the source of Fig. 3(b)'s pair-frequency histogram.
-//!
-//! Items are `u32` (name ids in IUAD). Transactions are item slices; items
-//! within a transaction are expected to be distinct (duplicates are counted
-//! once per transaction by [`pairs`], and will inflate FP-tree paths if
-//! present — callers dedup first).
+//! Items are `u32` (name ids in IUAD). Transactions are item slices;
+//! duplicate items within one transaction are counted once.
 //!
 //! ```
-//! use iuad_fpgrowth::{FpGrowth, pairs};
+//! use iuad_fpgrowth::pairs;
 //!
 //! let txs: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![1, 2], vec![1, 2, 4]];
-//! let fi = FpGrowth::new(2).mine(&txs);
-//! assert!(fi.iter().any(|(items, sup)| items == &vec![1, 2] && *sup == 3));
 //! let p = pairs::frequent_pairs(txs.iter().map(|t| t.as_slice()), 2);
 //! assert_eq!(p.get(&(1, 2)), Some(&3));
+//! assert_eq!(p.len(), 1);
 //! ```
 
 #![warn(missing_docs)]
 
-mod apriori;
-mod fptree;
-mod mine;
 pub mod pairs;
-
-pub use apriori::apriori;
-pub use fptree::FpTree;
-pub use mine::FpGrowth;
 
 /// An item (in IUAD: an author-name id).
 pub type Item = u32;
-
-/// A mined itemset with its support count.
-pub type FrequentItemset = (Vec<Item>, u32);
-
-/// Sort itemsets canonically (by length, then lexicographically) so results
-/// from different miners can be compared directly in tests.
-pub fn canonicalize(mut itemsets: Vec<FrequentItemset>) -> Vec<FrequentItemset> {
-    for (items, _) in &mut itemsets {
-        items.sort_unstable();
-    }
-    itemsets.sort_by(|a, b| (a.0.len(), &a.0, a.1).cmp(&(b.0.len(), &b.0, b.1)));
-    itemsets
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn canonicalize_orders_by_length_then_lex() {
-        let out = canonicalize(vec![(vec![3, 1], 2), (vec![2], 5), (vec![1], 9)]);
-        assert_eq!(out, vec![(vec![1], 9), (vec![2], 5), (vec![1, 3], 2)]);
-    }
-}

@@ -28,16 +28,6 @@ pub fn connected_components<V, E>(g: &AdjGraph<V, E>) -> (Vec<u32>, usize) {
     (comp, next as usize)
 }
 
-/// Members of each component, ascending within and across components.
-pub fn component_members<V, E>(g: &AdjGraph<V, E>) -> Vec<Vec<VertexId>> {
-    let (comp, k) = connected_components(g);
-    let mut out = vec![Vec::new(); k];
-    for (i, &c) in comp.iter().enumerate() {
-        out[c as usize].push(VertexId::from(i));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,9 +61,7 @@ mod tests {
             g.add_vertex(());
         }
         g.upsert_edge(VertexId(1), VertexId(2), || (), |_| ());
-        let members = component_members(&g);
-        let total: usize = members.iter().map(Vec::len).sum();
-        assert_eq!(total, 4);
-        assert!(members.contains(&vec![VertexId(1), VertexId(2)]));
+        // Ids are dense and ordered by each component's smallest vertex.
+        assert_eq!(connected_components(&g), (vec![0, 1, 1, 2], 3));
     }
 }

@@ -52,15 +52,6 @@ impl UnionFind {
         x as usize
     }
 
-    /// Non-mutating find (no compression); useful behind shared refs.
-    pub fn find_const(&self, x: usize) -> usize {
-        let mut x = x as u32;
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x as usize
-    }
-
     /// Merge the sets of `a` and `b`; returns `false` if already joined.
     pub fn union(&mut self, a: usize, b: usize) -> bool {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
@@ -144,17 +135,6 @@ mod tests {
         assert_eq!(groups.len(), uf.num_components());
         let g0 = groups.iter().find(|(_, m)| m.contains(&0)).unwrap();
         assert!(g0.1.contains(&3));
-    }
-
-    #[test]
-    fn find_const_agrees_with_find() {
-        let mut uf = UnionFind::new(8);
-        uf.union(1, 2);
-        uf.union(2, 3);
-        uf.union(5, 6);
-        for i in 0..8 {
-            assert_eq!(uf.find_const(i), uf.find(i));
-        }
     }
 
     #[test]

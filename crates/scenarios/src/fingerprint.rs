@@ -1,10 +1,12 @@
-//! Canonical partition fingerprints.
+//! Canonical partition labels.
 //!
 //! A fitted network's mention partition is canonicalised independently of
 //! vertex numbering: mentions are visited in (paper, slot) order and each
 //! vertex is renamed to the rank of its first appearance. Two fits that
-//! produce the same *partition* therefore produce the same label vector —
-//! and the same FNV-1a hash — even if their internal vertex ids differ.
+//! produce the same *partition* therefore produce the same label vector
+//! even if their internal vertex ids differ. The invariants compare these
+//! vectors; the partition's hash is [`iuad_serve::partition_fingerprint`],
+//! which applies the same renaming to a network's own assignment.
 
 use iuad_corpus::{Corpus, Mention};
 use rustc_hash::FxHashMap;
@@ -24,28 +26,6 @@ pub fn canonical_labels(
         out.push(*dense.entry(raw).or_insert(next));
     }
     out
-}
-
-/// Stable FNV-1a hash of a canonical label vector.
-pub fn fingerprint_of_labels(labels: &[usize]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |x: u64| {
-        for b in x.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    };
-    mix(labels.len() as u64);
-    for &l in labels {
-        mix(l as u64);
-    }
-    h
-}
-
-/// Render a fingerprint the way `SCENARIOS.json` and the goldens record it.
-pub fn fingerprint_hex(fp: u64) -> String {
-    format!("{fp:#018x}")
 }
 
 #[cfg(test)]
@@ -69,19 +49,5 @@ mod tests {
         let a = canonical_labels(&c, |m| m.paper.index());
         let b = canonical_labels(&c, |m| m.paper.index() + 1000);
         assert_eq!(a, b);
-        assert_eq!(fingerprint_of_labels(&a), fingerprint_of_labels(&b));
-    }
-
-    #[test]
-    fn different_partitions_hash_differently() {
-        let c = tiny();
-        let a = canonical_labels(&c, |m| m.paper.index());
-        let b = canonical_labels(&c, |_| 0);
-        assert_ne!(fingerprint_of_labels(&a), fingerprint_of_labels(&b));
-    }
-
-    #[test]
-    fn hex_rendering_is_fixed_width() {
-        assert_eq!(fingerprint_hex(0x1), "0x0000000000000001");
     }
 }

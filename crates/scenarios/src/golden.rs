@@ -1,11 +1,11 @@
 //! Golden per-scenario fingerprints.
 //!
-//! Each entry pins the canonical-partition fingerprint of one scenario's
-//! seeded fit. A mismatch means a merge decision flipped on *that named
-//! regime* — far more actionable than a generic test failure. When a PR
-//! intentionally changes pipeline behaviour, regenerate with
+//! Each entry pins the [`iuad_serve::partition_fingerprint`] of one
+//! scenario's seeded fit. A mismatch means a merge decision flipped on
+//! *that named regime* — far more actionable than a generic test failure.
+//! When a change alters pipeline behaviour on purpose, regenerate with
 //! `make scenarios` (or `repro scenarios`) and update the table alongside
-//! the committed `SCENARIOS.json`, calling out the drift in the PR.
+//! the committed `SCENARIOS.json`, and call out the drift.
 
 /// `(scenario name, canonical fingerprint)` — one row per matrix entry.
 pub const GOLDEN_FINGERPRINTS: &[(&str, &str)] = &[

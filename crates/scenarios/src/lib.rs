@@ -19,10 +19,11 @@
 //!    the ground-truth oracle, on pairwise F1, B³, and the K-metric. The
 //!    oracle rows pin the metric plumbing (truth scores exactly 1.0); the
 //!    baseline rows make regressions *relative*, not just absolute.
-//! 3. **Golden fingerprints** ([`golden`]) — a canonical-partition hash per
-//!    scenario, committed and asserted by `tests/scenarios.rs`, so a
-//!    behaviour change localises to a named scenario instead of "the test
-//!    failed".
+//! 3. **Golden fingerprints** ([`golden`]) — the fitted network's
+//!    [`iuad_serve::partition_fingerprint`] per scenario (the one canonical
+//!    partition hash, shared with the serving daemon and the benchmark),
+//!    committed and asserted by `tests/scenarios.rs`, so a behaviour change
+//!    localises to a named scenario instead of "the test failed".
 //!
 //! [`runner::run_scenario`] executes all three layers for one scenario and
 //! returns a serialisable [`runner::ScenarioOutcome`]; the `iuad-bench`
@@ -37,7 +38,7 @@ pub mod invariants;
 pub mod runner;
 
 pub use differential::{score_scenario_methods, MethodScore};
-pub use fingerprint::{canonical_labels, fingerprint_hex, fingerprint_of_labels};
+pub use fingerprint::canonical_labels;
 pub use golden::golden_fingerprint;
 pub use invariants::{InvariantReport, InvariantStatus};
 pub use runner::{run_scenario, IncrementalOutcome, ScenarioOutcome};

@@ -7,7 +7,7 @@ use iuad_corpus::select_test_names_seeded;
 use serde::Serialize;
 
 use crate::differential::{score_scenario_methods, MethodScore};
-use crate::fingerprint::{canonical_labels, fingerprint_hex, fingerprint_of_labels};
+use crate::fingerprint::canonical_labels;
 use crate::invariants::{
     duplicate_injection_cocluster, incremental_consistency, oracle_merge_monotone_recall,
     parallel_config_invariance, partition_structure, pipeline_permutation_robustness,
@@ -131,7 +131,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             .get(&m)
             .map_or(usize::MAX, |v| v.index())
     });
-    let fingerprint = fingerprint_hex(fingerprint_of_labels(&labels));
+    let fingerprint = iuad_serve::fingerprint_hex(iuad_serve::partition_fingerprint(&iuad.network));
 
     let methods = score_scenario_methods(&corpus, &test, &iuad, spec.baseline_seed());
     let iuad_b3_f = methods

@@ -11,7 +11,7 @@ use iuad_suite::core::similarity::{gamma4_time_consistency, gamma6_communities};
 use iuad_suite::core::{KeywordYears, ProfileContext, VenueCounts, VertexProfile};
 use iuad_suite::corpus::{Corpus, CorpusConfig, NameId};
 use iuad_suite::eval::{b_cubed, k_metric, pairwise_confusion};
-use iuad_suite::fpgrowth::{apriori, canonicalize, pairs::pair_counts, FpGrowth};
+use iuad_suite::fpgrowth::pairs::frequent_pairs;
 use iuad_suite::graph::wl::{kernel, normalized_kernel, SparseFeatures};
 use iuad_suite::graph::UnionFind;
 
@@ -147,47 +147,26 @@ fn profile_with(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// FP-growth and Apriori agree on arbitrary transaction databases.
+    /// Frequent-pair counting agrees with a brute-force oracle that, for
+    /// every `a < b`, counts the transactions holding both (an item
+    /// repeated within a transaction still counts that transaction once).
     #[test]
-    fn fpgrowth_matches_apriori(
-        txs in prop::collection::vec(
-            prop::collection::btree_set(0u32..10, 1..5),
-            1..20,
-        ),
+    fn frequent_pairs_match_brute_force(
+        txs in prop::collection::vec(prop::collection::vec(0u32..8, 1..5), 1..15),
         min_support in 1u32..4,
     ) {
-        let txs: Vec<Vec<u32>> = txs
-            .into_iter()
-            .map(|t| t.into_iter().collect())
-            .collect();
-        let fp = canonicalize(FpGrowth::new(min_support).mine(&txs));
-        let ap = canonicalize(apriori(&txs, min_support));
-        prop_assert_eq!(fp, ap);
-    }
-
-    /// Pair counting agrees with the general miner restricted to pairs.
-    #[test]
-    fn pair_counts_match_fpgrowth(
-        txs in prop::collection::vec(
-            prop::collection::btree_set(0u32..8, 1..5),
-            1..15,
-        ),
-    ) {
-        let txs: Vec<Vec<u32>> = txs
-            .into_iter()
-            .map(|t| t.into_iter().collect())
-            .collect();
-        let counts = pair_counts(txs.iter().map(Vec::as_slice));
-        let mined: Vec<_> = FpGrowth::new(1)
-            .with_max_len(2)
-            .mine(&txs)
-            .into_iter()
-            .filter(|(i, _)| i.len() == 2)
-            .collect();
-        prop_assert_eq!(counts.len(), mined.len());
-        for (items, support) in mined {
-            prop_assert_eq!(counts[&(items[0], items[1])], support);
+        let mut expected = BTreeMap::new();
+        for a in 0u32..8 {
+            for b in (a + 1)..8 {
+                let support = txs.iter().filter(|t| t.contains(&a) && t.contains(&b)).count() as u32;
+                if support >= min_support {
+                    expected.insert((a, b), support);
+                }
+            }
         }
+        let mined: BTreeMap<_, _> =
+            frequent_pairs(txs.iter().map(Vec::as_slice), min_support).into_iter().collect();
+        prop_assert_eq!(mined, expected);
     }
 
     /// Pairwise confusion counts always partition C(n,2).
