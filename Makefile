@@ -1,7 +1,7 @@
 # Local entrypoints mirroring .github/workflows/ci.yml — keep the two in
 # sync so "it passes locally" means "it passes in CI".
 
-.PHONY: build test lint fmt doc bench bench-smoke bench-build bench-json bench-scale perf-guard scale-guard scenarios serve-smoke serve-crash serve-replica repro all
+.PHONY: build test lint fmt doc bench bench-smoke bench-build bench-json bench-scale perf-guard scale-guard scenarios serve-smoke serve-crash serve-replica repro loc all
 
 all: build test lint doc bench-build
 
@@ -100,3 +100,9 @@ serve-replica:
 # Regenerate the paper's tables and figures.
 repro:
 	cargo run --release -p iuad-bench --bin repro -- all
+
+# Non-blank lines of tracked Rust code and manifests in crates/, examples/,
+# src/ and the root Cargo.toml: shipped (each .rs file cut at its first
+# #[cfg(test)]) and with the root tests/ and test modules included.
+loc:
+	python3 scripts/loc.py

@@ -413,26 +413,20 @@ impl Gcn {
         engine: &SimilarityEngine,
         cfg: &GcnConfig,
     ) -> Gcn {
-        Self::build_parallel(scn, ctx, engine, cfg, &ParallelConfig::sequential())
+        Self::build_inner(
+            scn,
+            ctx,
+            engine,
+            cfg,
+            &ParallelConfig::sequential(),
+            &mut StageTimes::default(),
+        )
     }
 
-    /// Run the full Stage 2 with the candidate γ-vector computation, pair
-    /// scoring and per-name clustering fanned across `par.threads`
-    /// workers. EM training stays sequential (it is a seeded, iterative
-    /// fixpoint), so the result is identical to [`Gcn::build`] at any
-    /// thread count.
-    pub fn build_parallel(
-        scn: &Scn,
-        ctx: &ProfileContext,
-        engine: &SimilarityEngine,
-        cfg: &GcnConfig,
-        par: &ParallelConfig,
-    ) -> Gcn {
-        Self::build_inner(scn, ctx, engine, cfg, par, &mut StageTimes::default())
-    }
-
-    /// The one Stage-2 body behind every `build*` entry point and
-    /// [`crate::Iuad::fit`], recording its four stages into `times`.
+    /// The one Stage-2 body behind [`Gcn::build`] and [`crate::Iuad::fit`]
+    /// (which fans it across `par.threads` workers), recording its four
+    /// stages into `times`. EM training stays sequential (it is a seeded,
+    /// iterative fixpoint), so the result is identical at any thread count.
     pub(crate) fn build_inner(
         scn: &Scn,
         ctx: &ProfileContext,

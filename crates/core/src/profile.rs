@@ -118,24 +118,15 @@ impl ProfileContext {
     /// Build the context: tokenise titles, train SGNS, precompute keyword
     /// ids and frequency tables. `seed` drives embedding training only.
     pub fn build(corpus: &Corpus, embedding_dim: usize, seed: u64) -> Self {
-        Self::build_parallel(corpus, embedding_dim, seed, &ParallelConfig::sequential())
+        Self::build_with_stats(corpus, embedding_dim, seed, &ParallelConfig::sequential()).0
     }
 
     /// [`ProfileContext::build`] with SGNS segment compute fanned out over
-    /// `par` threads. The trainer's schedule is thread-count-invariant, so
-    /// the result is bit-identical to the sequential build.
-    pub fn build_parallel(
-        corpus: &Corpus,
-        embedding_dim: usize,
-        seed: u64,
-        par: &ParallelConfig,
-    ) -> Self {
-        Self::build_with_stats(corpus, embedding_dim, seed, par).0
-    }
-
-    /// [`ProfileContext::build_parallel`] plus the SGNS sub-stage timing
-    /// breakdown ([`crate::Iuad::fit`] records it as the `sgns_vocab_build`,
-    /// `sgns_sampler_build` and `sgns_epoch_loop` stage rows).
+    /// `par` threads, plus the SGNS sub-stage timing breakdown
+    /// ([`crate::Iuad::fit`] records it as the `sgns_vocab_build`,
+    /// `sgns_sampler_build` and `sgns_epoch_loop` stage rows). The trainer's
+    /// schedule is thread-count-invariant, so the context is bit-identical
+    /// at any `par`.
     pub fn build_with_stats(
         corpus: &Corpus,
         embedding_dim: usize,

@@ -1,6 +1,14 @@
-//! WAL compaction: checkpoint files that fold the log into a base record
-//! stream, so the write-ahead log stays bounded and warm restart cost is
-//! proportional to the tail since the last checkpoint, not daemon lifetime.
+//! Checkpoint files: a fingerprint-verified copy of the whole durable
+//! record stream since the fit, after which the write-ahead log is
+//! truncated.
+//!
+//! A checkpoint is not a state snapshot. It re-frames every record since
+//! the fit (the prior checkpoint's records plus the WAL), so its size grows
+//! with history, and recovery replays all of its records over a fresh fit
+//! before it applies the WAL tail — warm restart stays linear in everything
+//! ever ingested. What a checkpoint buys is a copy of that stream whose
+//! header lets recovery verify the state it rebuilds, a fallback to an
+//! older checkpoint past a corrupt file, and a WAL that restarts empty.
 //!
 //! # File format
 //!

@@ -7,12 +7,12 @@
 //! turns that primitive into a service with three load-bearing pieces:
 //!
 //! * **Epoch snapshots** ([`Snapshot`], [`EpochStore`]): readers hold an
-//!   `Arc<Snapshot>` — partition, frozen [`iuad_core::SimilarityEngine`],
-//!   CSR topology — at epoch N while the ingest thread mutates its own
-//!   live state. Publishing epoch N+1 re-canonicalizes the live engine in
-//!   place via [`iuad_core::SimilarityEngine::refresh`] over the vertices
-//!   touched since the last publish and swaps the pointer; an old epoch
-//!   retires once its last reader drops. The engine caches every vertex
+//!   `Arc<Snapshot>` — partition and collaboration graph, frozen
+//!   [`iuad_core::SimilarityEngine`] — at epoch N while the ingest thread
+//!   mutates its own live state. Publishing epoch N+1 re-canonicalizes the
+//!   live engine in place via [`iuad_core::SimilarityEngine::refresh`] over
+//!   the vertices touched since the last publish and swaps the pointer; an
+//!   old epoch retires once its last reader drops. The engine caches every vertex
 //!   from the fit on, and streaming adds no edge, so a refresh only
 //!   rebuilds touched profiles.
 //! * **Write-ahead log** ([`Wal`]): every accepted paper is appended with

@@ -1,20 +1,20 @@
 //! Epoch snapshots: the frozen read side of the daemon.
 //!
 //! A [`Snapshot`] is a self-contained, immutable view of the fitted state
-//! at one epoch — partition, similarity caches, CSR topology, scoring
-//! model. Readers clone an `Arc<Snapshot>` out of the [`EpochStore`] and
-//! answer every query against it without taking any lock shared with
-//! ingest; the store's `RwLock` guards only the pointer swap, which is
-//! O(1). An old epoch is *retired* (its memory reclaimed) automatically
-//! when the last reader's `Arc` drops; the store tracks retirement through
-//! `Weak` handles so tests and stats can observe it without keeping the
-//! epoch alive.
+//! at one epoch — partition (whose graph answers collaborator queries),
+//! similarity caches, scoring model. Readers clone an `Arc<Snapshot>` out
+//! of the [`EpochStore`] and answer every query against it without taking
+//! any lock shared with ingest; the store's `RwLock` guards only the
+//! pointer swap, which is O(1). An old epoch is *retired* (its memory
+//! reclaimed) automatically when the last reader's `Arc` drops; the store
+//! tracks retirement through `Weak` handles so tests and stats can observe
+//! it without keeping the epoch alive.
 
 use std::sync::{Arc, Mutex, RwLock, Weak};
 
 use iuad_core::{disambiguate_mention, Decision, ProfileContext, Scn, SimilarityEngine};
 use iuad_corpus::{NameId, Paper};
-use iuad_graph::{Csr, VertexId};
+use iuad_graph::VertexId;
 use iuad_mixture::TwoComponentMixture;
 
 use crate::fingerprint::partition_fingerprint;
@@ -28,9 +28,6 @@ pub struct Snapshot {
     /// The merged collaboration network, including every paper absorbed
     /// up to this epoch.
     pub network: Scn,
-    /// Frozen CSR topology of `network` (collaborator queries, structural
-    /// kernels).
-    pub csr: Csr,
     /// Corpus context extended with every absorbed paper's evidence.
     pub ctx: ProfileContext,
     /// Canonicalized similarity caches over every vertex of `network`.
@@ -51,7 +48,7 @@ pub struct ProfileView {
     pub mentions: usize,
     /// Number of distinct papers.
     pub papers: usize,
-    /// Collaborator vertices (CSR neighbours at this epoch).
+    /// Collaborator vertices at this epoch, ascending.
     pub collaborators: Vec<VertexId>,
 }
 
@@ -84,13 +81,11 @@ impl Snapshot {
             return None;
         }
         let payload = self.network.graph.vertex(v);
-        // The CSR was frozen at publish, so it covers every vertex.
-        let collaborators = self.csr.neighbors(v).to_vec();
         Some(ProfileView {
             name: payload.name,
             mentions: payload.mentions.len(),
             papers: payload.papers().len(),
-            collaborators,
+            collaborators: self.network.graph.sorted_neighbors(v),
         })
     }
 

@@ -24,7 +24,7 @@ use iuad_core::{
     SimilarityEngine, VertexProfile,
 };
 use iuad_corpus::{NameId, Paper, PaperId};
-use iuad_graph::{Csr, VertexId};
+use iuad_graph::VertexId;
 
 use crate::checkpoint::{
     list_checkpoints, prune_checkpoints, read_checkpoint, write_checkpoint, CheckpointMeta,
@@ -352,7 +352,7 @@ impl ServeState {
         if let Some(faults) = &self.faults {
             faults.check(CrashPoint::AfterPublish);
         }
-        self.snapshot(self.network.csr())
+        self.snapshot_now()
     }
 
     /// A [`Snapshot`] of the state as it stands, labelled with the last
@@ -363,16 +363,9 @@ impl ServeState {
     /// so serving them under the last published epoch label never exposes
     /// an epoch the primary did not publish.
     pub fn snapshot_now(&self) -> Snapshot {
-        self.snapshot(self.network.csr())
-    }
-
-    /// The state as it stands, over `csr` (its network's frozen
-    /// adjacency), labelled with the last published epoch.
-    fn snapshot(&self, csr: Csr) -> Snapshot {
         Snapshot {
             epoch: self.epoch,
             network: self.network.clone(),
-            csr,
             ctx: self.ctx.clone(),
             engine: self.engine.clone(),
             model: self.gcn.model.clone(),

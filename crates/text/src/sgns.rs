@@ -1,8 +1,8 @@
 //! Skip-gram with negative sampling (Mikolov et al., 2013), from scratch —
 //! deterministically parallel.
 //!
-//! The trainer processes documents in fixed *batches* (default 2048 docs),
-//! each split into fixed *segments* (default 256 docs). Every segment
+//! The trainer processes documents in fixed *batches* of [`BATCH_DOCS`],
+//! each split into fixed *segments* of [`SEGMENT_DOCS`]. Every segment
 //! trains against the weights **frozen at batch start**, with full
 //! read-your-writes inside the segment, and emits sparse per-row deltas
 //! (`current − frozen`); deltas are applied in ascending segment order at
@@ -13,21 +13,22 @@
 //! with [`iuad_par::parallel_mut_shards`] over disjoint row ranges, so the
 //! entire schedule is a function of the corpus and [`SgnsConfig`] alone,
 //! never of `threads`/`chunk_size`: outputs are bit-identical at any
-//! thread count. `batch_docs` and `segment_docs` *are* part of the
-//! schedule — changing them changes results (unlike `parallel`, which
-//! never does).
+//! thread count. The schedule constants ([`BATCH_DOCS`], [`SEGMENT_DOCS`],
+//! [`NEGATIVE`], [`LR`]) are part of the numeric contract — changing one
+//! changes results, which `schedule_golden` pins.
 //!
-//! Two execution paths produce the segment deltas, dispatched on thread
-//! count and pinned bit-identical to each other:
+//! One segment loop ([`run_segment`]) runs over one of two [`Rows`]
+//! stores, chosen by thread count and pinned bit-identical to each other:
 //!
-//! * **Parallel** (`run_segment`): the weight matrices stay immutable; an
-//!   `Overlay` gives each worker copy-on-touch value semantics over both
-//!   matrices, so reads always see the segment's own writes and untouched
-//!   rows cost nothing.
-//! * **Sequential in-place** (`run_segment_inplace`): a single worker
-//!   updates the live matrices directly and an `UndoLog` restores the
-//!   batch-start state while emitting the same deltas — half the
-//!   random-access working set, no copies on the read side.
+//! * [`Overlay`] (threads > 1): the weight matrices stay immutable and each
+//!   worker gets copy-on-touch value semantics over them, so reads see the
+//!   segment's own writes and untouched rows cost nothing.
+//! * [`InPlace`] (one thread): the single worker updates the live matrices
+//!   and saves each touched row's batch-start contents, which `finish`
+//!   restores. It stays because it halves the random-access working set:
+//!   over 8 interleaved single-thread 100k-paper fits on a 2-core VM, its
+//!   epoch loop read a median 2.61 s against 2.82 s for the overlay, and
+//!   was faster in all 8.
 //!
 //! Single-thread wins over the previous sequential SGD: a `min_count`
 //! vocabulary cutoff (rare words drop out of the token stream and keep
@@ -52,6 +53,20 @@ use crate::sampler::AliasTable;
 const SIG_TABLE_SIZE: usize = 1024;
 const MAX_EXP: f32 = 6.0;
 
+/// Negative samples per positive pair.
+const NEGATIVE: usize = 5;
+/// Initial learning rate (decays linearly to 1e-4 of itself).
+const LR: f32 = 0.05;
+/// Documents per weight-synchronisation batch. Segments within a batch read
+/// batch-start weights and their deltas merge at batch end, so this trades
+/// gradient freshness for parallel slack.
+const BATCH_DOCS: usize = 2048;
+/// Documents per segment — the unit of work handed to one worker, and the
+/// scope of read-your-writes against the batch-start weights. Trades
+/// per-segment bookkeeping (one copy and delta per touched row) against
+/// parallel fan-out.
+const SEGMENT_DOCS: usize = 256;
+
 /// SGNS hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct SgnsConfig {
@@ -59,12 +74,8 @@ pub struct SgnsConfig {
     pub dim: usize,
     /// Max distance between centre and context word.
     pub window: usize,
-    /// Negative samples per positive pair.
-    pub negative: usize,
     /// Full passes over the corpus.
     pub epochs: usize,
-    /// Initial learning rate (decays linearly to 1e-4 of itself).
-    pub lr: f32,
     /// RNG seed. Drives the full-vocabulary random init, each document's
     /// private sampling stream, and nothing else.
     pub seed: u64,
@@ -74,19 +85,6 @@ pub struct SgnsConfig {
     /// bit-identical). Dropped words keep their seeded random init rows.
     /// Values `<= 1` keep every word that appears.
     pub min_count: u64,
-    /// Documents per weight-synchronisation batch. Segments within a batch
-    /// read batch-start weights and their deltas merge at batch end, so this
-    /// knob trades gradient freshness for parallel slack. Part of the
-    /// deterministic schedule: changing it changes results (unlike
-    /// `parallel`, which never does).
-    pub batch_docs: usize,
-    /// Documents per segment — the unit of work handed to one worker, and
-    /// the scope of read-your-writes against the batch-start weights. The
-    /// batch is split into `batch_docs / segment_docs` segments, so this
-    /// knob trades per-segment bookkeeping (each segment pays one
-    /// copy/delta per row it touches) against parallel fan-out. Part of
-    /// the deterministic schedule, like `batch_docs`.
-    pub segment_docs: usize,
     /// Thread fan-out for segment compute and delta application. Outputs
     /// are bit-identical for every `threads`/`chunk_size` choice.
     pub parallel: ParallelConfig,
@@ -97,13 +95,9 @@ impl Default for SgnsConfig {
         Self {
             dim: 32,
             window: 4,
-            negative: 5,
             epochs: 3,
-            lr: 0.05,
             seed: 1,
             min_count: 2,
-            batch_docs: 2048,
-            segment_docs: 256,
             parallel: ParallelConfig::sequential(),
         }
     }
@@ -253,96 +247,16 @@ fn apply_kernel<const D: usize>(vi: &mut [f32], grad: &[f32]) {
     }
 }
 
-/// Copy-on-touch view over a frozen weight matrix: the first access to a
-/// row copies it from `base` into a dense full-size working buffer, later
-/// accesses (and all writes) hit the working row directly — no slot
-/// indirection in the hot path. Epoch-stamped so `begin` is O(1) amortised
-/// across segment reuses.
+/// The rows one segment has touched, in touch order. Epoch-stamped, so
+/// starting a segment is O(1) amortised across segment reuses.
 #[derive(Default)]
-struct Overlay {
-    stamp: u32,
-    stamps: Vec<u32>,
-    work: Vec<f32>,
-    rows: Vec<u32>,
-}
-
-impl Overlay {
-    fn begin(&mut self, n_rows: usize, dim: usize) {
-        if self.stamps.len() < n_rows {
-            self.stamps.resize(n_rows, 0);
-        }
-        if self.work.len() < n_rows * dim {
-            self.work.resize(n_rows * dim, 0.0);
-        }
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.stamps.fill(0);
-            self.stamp = 1;
-        }
-        self.rows.clear();
-    }
-
-    #[inline(always)]
-    fn row_mut(&mut self, row: u32, base: &[f32], dim: usize) -> &mut [f32] {
-        let r = row as usize;
-        let s = r * dim;
-        if self.stamps[r] != self.stamp {
-            self.stamps[r] = self.stamp;
-            self.rows.push(row);
-            self.work[s..s + dim].copy_from_slice(&base[s..s + dim]);
-        }
-        &mut self.work[s..s + dim]
-    }
-
-    /// Read the *effective* row: the working copy when this segment has
-    /// already written the row, the frozen `base` row otherwise (no copy is
-    /// made for a pure read).
-    #[inline(always)]
-    fn read<'a>(&'a self, row: u32, base: &'a [f32], dim: usize) -> &'a [f32] {
-        let r = row as usize;
-        let s = r * dim;
-        if self.stamps[r] == self.stamp {
-            &self.work[s..s + dim]
-        } else {
-            &base[s..s + dim]
-        }
-    }
-
-    /// Emit `(rows, overlay − base)` in touch order (per-segment row sets
-    /// are duplicate-free, so [`apply_deltas`] does not need them sorted).
-    fn delta(&self, base: &[f32], dim: usize) -> (Vec<u32>, Vec<f32>) {
-        let mut vals = Vec::with_capacity(self.rows.len() * dim);
-        for &row in &self.rows {
-            let s = row as usize * dim;
-            for k in 0..dim {
-                vals.push(self.work[s + k] - base[s + k]);
-            }
-        }
-        (self.rows.clone(), vals)
-    }
-}
-
-/// Undo log for the sequential in-place fast path: the first touch of a
-/// row saves its pre-segment (frozen) contents, updates then hit the live
-/// matrix directly. At segment end [`UndoLog::delta_and_restore`] emits
-/// `current − saved` and writes the saved rows back, leaving the matrix at
-/// its batch-start state again.
-///
-/// This is the same mathematics as [`Overlay`] — identical floating-point
-/// operations on identical values in the identical order; only the storage
-/// location of the working row differs (the live matrix here, a side
-/// buffer there). That equivalence is what keeps the sequential path
-/// bit-identical to the parallel overlay path, and the
-/// thread/chunk-invariance tests pin it.
-#[derive(Default)]
-struct UndoLog {
+struct Touched {
     stamp: u32,
     stamps: Vec<u32>,
     rows: Vec<u32>,
-    saved: Vec<f32>,
 }
 
-impl UndoLog {
+impl Touched {
     fn begin(&mut self, n_rows: usize) {
         if self.stamps.len() < n_rows {
             self.stamps.resize(n_rows, 0);
@@ -353,64 +267,170 @@ impl UndoLog {
             self.stamp = 1;
         }
         self.rows.clear();
-        self.saved.clear();
     }
 
-    /// The live row, saving its frozen contents on first touch.
     #[inline(always)]
-    fn row_mut<'w>(&mut self, w: &'w mut [f32], row: u32, dim: usize) -> &'w mut [f32] {
-        let r = row as usize;
-        let s = r * dim;
-        if self.stamps[r] != self.stamp {
-            self.stamps[r] = self.stamp;
-            self.rows.push(row);
-            self.saved.extend_from_slice(&w[s..s + dim]);
-        }
-        &mut w[s..s + dim]
+    fn contains(&self, row: u32) -> bool {
+        self.stamps[row as usize] == self.stamp
     }
 
-    /// Emit `(rows, current − saved)` in touch order and restore every
-    /// touched row of `w` to its saved (batch-start) contents.
-    fn delta_and_restore(&self, w: &mut [f32], dim: usize) -> (Vec<u32>, Vec<f32>) {
-        let mut vals = Vec::with_capacity(self.rows.len() * dim);
-        for (i, &row) in self.rows.iter().enumerate() {
-            let s = row as usize * dim;
-            let saved = &self.saved[i * dim..(i + 1) * dim];
-            for k in 0..dim {
-                vals.push(w[s + k] - saved[k]);
-            }
-            w[s..s + dim].copy_from_slice(saved);
+    /// Record `row`; true on its first touch in this segment.
+    #[inline(always)]
+    fn insert(&mut self, row: u32) -> bool {
+        if self.contains(row) {
+            return false;
         }
-        (self.rows.clone(), vals)
+        self.stamps[row as usize] = self.stamp;
+        self.rows.push(row);
+        true
     }
 }
 
-/// Per-worker reusable segment state. The overlays serve the parallel
-/// path, the undo logs the sequential in-place path; a worker only ever
-/// exercises one pair per training run, and the unused pair stays empty.
+/// Per-matrix reusable segment state: the touched rows plus a row buffer
+/// (the overlay's dense working copy, or the in-place store's saved rows).
+#[derive(Default)]
+struct Side {
+    touched: Touched,
+    buf: Vec<f32>,
+}
+
+/// One weight matrix as a segment sees it: the batch-start rows plus the
+/// segment's own writes. Both stores perform identical floating-point
+/// operations on identical values in the identical order; only where the
+/// working row lives differs. That equivalence keeps the two bit-identical,
+/// and the thread/chunk-invariance tests pin it.
+trait Rows {
+    /// The working row, writable; the first touch starts it from the
+    /// batch-start contents.
+    fn row_mut(&mut self, row: u32) -> &mut [f32];
+    /// The effective row: the segment's write if any, batch-start otherwise.
+    fn read(&self, row: u32) -> &[f32];
+    /// Emit `(rows, current − batch-start)` in touch order (duplicate-free,
+    /// so [`apply_deltas`] does not need them sorted) and leave the matrix
+    /// at its batch-start contents.
+    fn finish(&mut self) -> (Vec<u32>, Vec<f32>);
+}
+
+/// Copy-on-touch view over a frozen matrix: the first write to a row copies
+/// it from `base` into a dense full-size working buffer, later accesses hit
+/// the working row directly — no slot indirection in the hot path, and no
+/// copy for a pure read.
+struct Overlay<'a> {
+    base: &'a [f32],
+    dim: usize,
+    side: &'a mut Side,
+}
+
+impl<'a> Overlay<'a> {
+    fn new(base: &'a [f32], dim: usize, side: &'a mut Side) -> Self {
+        side.touched.begin(base.len() / dim);
+        if side.buf.len() < base.len() {
+            side.buf.resize(base.len(), 0.0);
+        }
+        Overlay { base, dim, side }
+    }
+}
+
+impl Rows for Overlay<'_> {
+    #[inline(always)]
+    fn row_mut(&mut self, row: u32) -> &mut [f32] {
+        let s = row as usize * self.dim;
+        let work = &mut self.side.buf[s..s + self.dim];
+        if self.side.touched.insert(row) {
+            work.copy_from_slice(&self.base[s..s + self.dim]);
+        }
+        work
+    }
+
+    #[inline(always)]
+    fn read(&self, row: u32) -> &[f32] {
+        let s = row as usize * self.dim;
+        if self.side.touched.contains(row) {
+            &self.side.buf[s..s + self.dim]
+        } else {
+            &self.base[s..s + self.dim]
+        }
+    }
+
+    fn finish(&mut self) -> (Vec<u32>, Vec<f32>) {
+        let rows = &self.side.touched.rows;
+        let mut vals = Vec::with_capacity(rows.len() * self.dim);
+        for &row in rows {
+            let s = row as usize * self.dim;
+            let (work, base) = (&self.side.buf[s..s + self.dim], &self.base[s..s + self.dim]);
+            vals.extend(work.iter().zip(base).map(|(w, b)| w - b));
+        }
+        (rows.clone(), vals)
+    }
+}
+
+/// The live matrix, updated in place: the first write to a row saves its
+/// batch-start contents, and `finish` writes them back.
+struct InPlace<'a> {
+    live: &'a mut [f32],
+    dim: usize,
+    side: &'a mut Side,
+}
+
+impl<'a> InPlace<'a> {
+    fn new(live: &'a mut [f32], dim: usize, side: &'a mut Side) -> Self {
+        side.touched.begin(live.len() / dim);
+        side.buf.clear();
+        InPlace { live, dim, side }
+    }
+}
+
+impl Rows for InPlace<'_> {
+    #[inline(always)]
+    fn row_mut(&mut self, row: u32) -> &mut [f32] {
+        let s = row as usize * self.dim;
+        let live = &mut self.live[s..s + self.dim];
+        if self.side.touched.insert(row) {
+            self.side.buf.extend_from_slice(live);
+        }
+        live
+    }
+
+    #[inline(always)]
+    fn read(&self, row: u32) -> &[f32] {
+        let s = row as usize * self.dim;
+        &self.live[s..s + self.dim]
+    }
+
+    fn finish(&mut self) -> (Vec<u32>, Vec<f32>) {
+        let rows = &self.side.touched.rows;
+        let mut vals = Vec::with_capacity(rows.len() * self.dim);
+        for (&row, saved) in rows.iter().zip(self.side.buf.chunks_exact(self.dim)) {
+            let s = row as usize * self.dim;
+            let live = &mut self.live[s..s + self.dim];
+            vals.extend(live.iter().zip(saved).map(|(w, b)| w - b));
+            live.copy_from_slice(saved);
+        }
+        (rows.clone(), vals)
+    }
+}
+
+/// Per-worker reusable segment state, one [`Side`] per weight matrix.
 #[derive(Default)]
 struct SegScratch {
-    in_ov: Overlay,
-    out_ov: Overlay,
-    in_undo: UndoLog,
-    out_undo: UndoLog,
-    grad: Vec<f32>,
+    inp: Side,
+    out: Side,
 }
 
 thread_local! {
     static SEG_SCRATCH: RefCell<SegScratch> = RefCell::new(SegScratch::default());
 }
 
-/// Sparse weight deltas produced by one segment: row-sorted `(rows, vals)`
-/// for the input and output matrices.
+/// Sparse weight deltas produced by one segment: `(rows, vals)` in touch
+/// order for the input and output matrices.
 struct SegmentDelta {
     inp: (Vec<u32>, Vec<f32>),
     out: (Vec<u32>, Vec<f32>),
 }
 
 /// Shared read-only schedule state for one epoch's segment computations.
-/// Weight matrices are passed alongside (immutably on the parallel path,
-/// mutably on the in-place path), never through this struct.
+/// Weight matrices reach the segment through its [`Rows`] stores, never
+/// through this struct.
 struct ScheduleCtx<'a> {
     docs: &'a [Vec<u32>],
     token_offset: &'a [usize],
@@ -422,31 +442,18 @@ struct ScheduleCtx<'a> {
     cfg: &'a SgnsConfig,
 }
 
-/// Run one segment `[seg.0, seg.1)` of documents against the frozen
-/// batch-start weights; returns the segment's sparse deltas. Pure in
-/// `(ctx, weights, seg)` — scratch is reset per call — which is what makes
+/// Run one segment `[seg.0, seg.1)` of documents against the batch-start
+/// weights held by `inp` and `out`; returns the segment's sparse deltas and
+/// leaves both matrices at batch start. Pure in `(ctx, weights, seg)` —
+/// the stores reset their scratch on construction — which is what makes
 /// the surrounding `parallel_map` deterministic.
-fn run_segment<const D: usize>(
+fn run_segment<const D: usize, R: Rows>(
     ctx: &ScheduleCtx<'_>,
-    w_in: &[f32],
-    w_out: &[f32],
+    mut inp: R,
+    mut out: R,
     seg: (usize, usize),
-    s: &mut SegScratch,
 ) -> SegmentDelta {
-    let dim = ctx.cfg.dim;
-    let n_rows = w_in.len() / dim;
-    s.in_ov.begin(n_rows, dim);
-    s.out_ov.begin(n_rows, dim);
-    if s.grad.len() != dim {
-        s.grad.clear();
-        s.grad.resize(dim, 0.0);
-    }
-    let SegScratch {
-        in_ov,
-        out_ov,
-        grad,
-        ..
-    } = s;
+    let mut grad = vec![0.0f32; ctx.cfg.dim];
     for d in seg.0..seg.1 {
         let doc = &ctx.docs[d];
         if doc.is_empty() {
@@ -456,21 +463,21 @@ fn run_segment<const D: usize>(
         let base_step = ctx.epoch * ctx.total_tokens + ctx.token_offset[d];
         for (i, &center) in doc.iter().enumerate() {
             let step = base_step + i;
-            let lr = ctx.cfg.lr * (1.0 - step as f32 / ctx.total_steps as f32).max(1e-4);
+            let lr = LR * (1.0 - step as f32 / ctx.total_steps as f32).max(1e-4);
             let win = 1 + rng.gen_range(0..ctx.cfg.window);
             let lo = i.saturating_sub(win);
             let hi = (i + win + 1).min(doc.len());
-            let vi = in_ov.row_mut(center, w_in, dim);
+            let vi = inp.row_mut(center);
             for (j, &ctx_token) in doc.iter().enumerate().take(hi).skip(lo) {
                 if j == i {
                     continue;
                 }
                 grad.fill(0.0);
 
-                // One positive + `negative` sampled draws, fused: draw,
+                // One positive + `NEGATIVE` sampled draws, fused: draw,
                 // dot, update. The rng stream is consumed in exactly this
-                // order by both execution paths.
-                for k in 0..=ctx.cfg.negative {
+                // order by both stores.
+                for k in 0..=NEGATIVE {
                     let (target, label) = if k == 0 {
                         (ctx_token, 1.0f32)
                     } else {
@@ -480,107 +487,23 @@ fn run_segment<const D: usize>(
                         }
                         (neg, 0.0)
                     };
-                    // Read-your-writes with value semantics: the effective
-                    // output row is the overlay's working copy once this
-                    // segment has written the row, the frozen batch-start
-                    // row before that — a single dot either way.
-                    let dot = dot_kernel::<D>(vi, out_ov.read(target, w_out, dim));
+                    let dot = dot_kernel::<D>(vi, out.read(target));
                     let g = (label - ctx.sig.value(dot)) * lr;
                     // Saturated sigmoid ⇒ exactly zero gradient: skip the
-                    // two fused axpys and the copy-on-write touch entirely
-                    // (a deterministic schedule decision, not an
+                    // two fused axpys and the first-touch copy entirely (a
+                    // deterministic schedule decision, not an
                     // approximation).
                     if g != 0.0 {
-                        let vo = out_ov.row_mut(target, w_out, dim);
-                        update_kernel::<D>(grad, vo, vi, g);
+                        update_kernel::<D>(&mut grad, out.row_mut(target), vi, g);
                     }
                 }
-                apply_kernel::<D>(vi, grad);
+                apply_kernel::<D>(vi, &grad);
             }
         }
     }
     SegmentDelta {
-        inp: in_ov.delta(w_in, dim),
-        out: out_ov.delta(w_out, dim),
-    }
-}
-
-/// The sequential fast path: the same schedule and arithmetic as
-/// [`run_segment`], but updates hit the live matrices directly and an
-/// [`UndoLog`] restores them to their batch-start contents afterwards.
-/// That halves the random-access working set (the dots walk `w_in`/`w_out`
-/// themselves, no side buffers), which is the whole point — it is only
-/// dispatched when a single worker runs every segment in order. Emits
-/// deltas bit-identical to the overlay path's (see [`UndoLog`]).
-fn run_segment_inplace<const D: usize>(
-    ctx: &ScheduleCtx<'_>,
-    w_in: &mut [f32],
-    w_out: &mut [f32],
-    seg: (usize, usize),
-    s: &mut SegScratch,
-) -> SegmentDelta {
-    let dim = ctx.cfg.dim;
-    let n_rows = w_in.len() / dim;
-    s.in_undo.begin(n_rows);
-    s.out_undo.begin(n_rows);
-    if s.grad.len() != dim {
-        s.grad.clear();
-        s.grad.resize(dim, 0.0);
-    }
-    let SegScratch {
-        in_undo,
-        out_undo,
-        grad,
-        ..
-    } = s;
-    for d in seg.0..seg.1 {
-        let doc = &ctx.docs[d];
-        if doc.is_empty() {
-            continue;
-        }
-        let mut rng = StdRng::seed_from_u64(doc_seed(ctx.cfg.seed, ctx.epoch, d));
-        let base_step = ctx.epoch * ctx.total_tokens + ctx.token_offset[d];
-        for (i, &center) in doc.iter().enumerate() {
-            let step = base_step + i;
-            let lr = ctx.cfg.lr * (1.0 - step as f32 / ctx.total_steps as f32).max(1e-4);
-            let win = 1 + rng.gen_range(0..ctx.cfg.window);
-            let lo = i.saturating_sub(win);
-            let hi = (i + win + 1).min(doc.len());
-            let vi = in_undo.row_mut(&mut *w_in, center, dim);
-            for (j, &ctx_token) in doc.iter().enumerate().take(hi).skip(lo) {
-                if j == i {
-                    continue;
-                }
-                grad.fill(0.0);
-
-                // The same fused draw-dot-update loop as the overlay path;
-                // the live matrix is the only storage there is.
-                for k in 0..=ctx.cfg.negative {
-                    let (target, label) = if k == 0 {
-                        (ctx_token, 1.0f32)
-                    } else {
-                        let neg = ctx.alias.sample(&mut rng);
-                        if neg == ctx_token {
-                            continue;
-                        }
-                        (neg, 0.0)
-                    };
-                    let ti = target as usize * dim;
-                    // The live row *is* the effective row.
-                    let dot = dot_kernel::<D>(vi, &w_out[ti..ti + dim]);
-                    let g = (label - ctx.sig.value(dot)) * lr;
-                    if g != 0.0 {
-                        let vo = out_undo.row_mut(&mut *w_out, target, dim);
-                        update_kernel::<D>(grad, vo, vi, g);
-                    }
-                }
-                apply_kernel::<D>(vi, grad);
-            }
-        }
-    }
-    SegmentDelta {
-        inp: in_undo.delta_and_restore(w_in, dim),
-        out: out_undo.delta_and_restore(w_out, dim),
+        inp: inp.finish(),
+        out: out.finish(),
     }
 }
 
@@ -755,20 +678,15 @@ fn train_sgns_dim<const D: usize>(
     let t_epochs = Instant::now();
     let mut w_out: Vec<f32> = vec![0.0; kept.len() * dim];
     let total_steps = (total_tokens * cfg.epochs).max(1);
-    let batch_docs = cfg.batch_docs.max(1);
-    let segment_docs = cfg.segment_docs.max(1);
     let sequential = cfg.parallel.resolved_threads() <= 1;
     let sig = SigmoidTable::new();
     for epoch in 0..cfg.epochs {
-        let mut batch_start = 0;
-        while batch_start < cdocs.len() {
-            let batch_end = (batch_start + batch_docs).min(cdocs.len());
-            let mut segs: Vec<(usize, usize)> = Vec::new();
-            let mut s = batch_start;
-            while s < batch_end {
-                segs.push((s, (s + segment_docs).min(batch_end)));
-                s += segment_docs;
-            }
+        for batch_start in (0..cdocs.len()).step_by(BATCH_DOCS) {
+            let batch_end = (batch_start + BATCH_DOCS).min(cdocs.len());
+            let segs: Vec<(usize, usize)> = (batch_start..batch_end)
+                .step_by(SEGMENT_DOCS)
+                .map(|s| (s, (s + SEGMENT_DOCS).min(batch_end)))
+                .collect();
             let ctx = ScheduleCtx {
                 docs: &cdocs,
                 token_offset: &token_offset,
@@ -779,19 +697,25 @@ fn train_sgns_dim<const D: usize>(
                 epoch,
                 cfg,
             };
-            // One worker ⇒ the in-place fast path (same deltas, half the
-            // random working set); otherwise overlay segments fan out.
-            let deltas = if sequential {
+            // One worker updates the live matrices in place; otherwise
+            // overlay segments fan out over the frozen ones.
+            let deltas: Vec<SegmentDelta> = if sequential {
                 SEG_SCRATCH.with(|s| {
-                    let s = &mut *s.borrow_mut();
+                    let SegScratch { inp, out } = &mut *s.borrow_mut();
                     segs.iter()
-                        .map(|&seg| run_segment_inplace::<D>(&ctx, &mut w_in, &mut w_out, seg, s))
-                        .collect::<Vec<_>>()
+                        .map(|&seg| {
+                            let inp = InPlace::new(&mut w_in, dim, inp);
+                            run_segment::<D, _>(&ctx, inp, InPlace::new(&mut w_out, dim, out), seg)
+                        })
+                        .collect()
                 })
             } else {
                 parallel_map(&cfg.parallel, &segs, |&seg| {
-                    SEG_SCRATCH
-                        .with(|s| run_segment::<D>(&ctx, &w_in, &w_out, seg, &mut s.borrow_mut()))
+                    SEG_SCRATCH.with(|s| {
+                        let SegScratch { inp, out } = &mut *s.borrow_mut();
+                        let inp = Overlay::new(&w_in, dim, inp);
+                        run_segment::<D, _>(&ctx, inp, Overlay::new(&w_out, dim, out), seg)
+                    })
                 })
             };
             let in_sides: Vec<(&[u32], &[f32])> = deltas
@@ -804,7 +728,6 @@ fn train_sgns_dim<const D: usize>(
                 .map(|d| (d.out.0.as_slice(), d.out.1.as_slice()))
                 .collect();
             apply_deltas(&cfg.parallel, &mut w_out, dim, &out_sides);
-            batch_start = batch_end;
         }
     }
     stats.epochs_seconds = t_epochs.elapsed().as_secs_f64();
@@ -970,6 +893,33 @@ mod tests {
         assert_ne!(trained.get(0), init_only.get(0));
     }
 
+    /// Pins the trained embeddings themselves, so a drift in a schedule
+    /// constant, in either segment store or in a kernel fails here rather
+    /// than only through the pipeline fingerprint. The corpus spans two
+    /// batches (2400 docs), so `BATCH_DOCS` and `SEGMENT_DOCS` both shape
+    /// it; threads 1 and 3 run the in-place and overlay stores.
+    #[test]
+    fn schedule_golden() {
+        let docs: Vec<Vec<u32>> = (1..=6).flat_map(topic_corpus).collect();
+        for threads in [1, 3] {
+            let cfg = SgnsConfig {
+                parallel: ParallelConfig {
+                    threads,
+                    chunk_size: 1,
+                },
+                ..Default::default()
+            };
+            let emb = train_sgns(&docs, 16, &cfg);
+            let mut h = 0u64;
+            for w in 0..16u32 {
+                for &x in emb.get(w) {
+                    h = mix64(h ^ u64::from(x.to_bits()));
+                }
+            }
+            assert_eq!(h, 0x31ab_fdee_e7d7_383e, "threads={threads}: {h:#018x}");
+        }
+    }
+
     #[test]
     fn empty_corpus_returns_random_init() {
         let emb = train_sgns(&[], 4, &SgnsConfig::default());
@@ -988,202 +938,6 @@ mod tests {
             let v = sig.value(i as f32 / 10.0);
             assert!(v >= prev, "sigmoid table must be monotone");
             prev = v;
-        }
-    }
-}
-
-#[cfg(test)]
-mod perf_probe {
-    use super::*;
-
-    /// Per-component micro timings.
-    #[test]
-    #[ignore]
-    fn micro() {
-        let vocab = 3551usize;
-        let dim = 32usize;
-        let n = 5_000_000u64;
-        let mut weights: Vec<u64> = (0..vocab as u64).map(|w| 65536 / (w + 1)).collect();
-        // Rescale to a power-of-two total so the division-free sample path
-        // engages, as it does for the weights Phase 2 produces.
-        let tot: u64 = weights.iter().sum();
-        let mut acc_units = 0u64;
-        for w in &mut weights {
-            *w = *w * 65536 / tot;
-            acc_units += *w;
-        }
-        weights[0] += 65536 - acc_units;
-        let alias = AliasTable::new(&weights).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let w: Vec<f32> = (0..vocab * dim).map(|_| rng.gen::<f32>() - 0.5).collect();
-
-        let t = Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..n {
-            acc += alias.sample(&mut rng) as u64;
-        }
-        eprintln!(
-            "alias.sample: {:.1}ns ({acc})",
-            t.elapsed().as_secs_f64() / n as f64 * 1e9
-        );
-
-        let t = Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..n {
-            acc += rng.gen_range(0..1_000_000_000u64);
-        }
-        eprintln!(
-            "rng u64 range: {:.1}ns ({acc})",
-            t.elapsed().as_secs_f64() / n as f64 * 1e9
-        );
-
-        // The pre-refactor linear unigram table, for comparison.
-        let mut linear: Vec<u32> = Vec::with_capacity(1 << 16);
-        let tot: u64 = weights.iter().sum();
-        for (wd, &c) in weights.iter().enumerate() {
-            let slots = ((c as f64 / tot as f64) * (1 << 16) as f64).ceil() as usize;
-            linear.extend(std::iter::repeat_n(wd as u32, slots));
-        }
-        let t = Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..n {
-            acc += linear[rng.gen_range(0..linear.len())] as u64;
-        }
-        eprintln!(
-            "linear table sample: {:.1}ns ({acc})",
-            t.elapsed().as_secs_f64() / n as f64 * 1e9
-        );
-
-        let sigt = SigmoidTable::new();
-        let t = Instant::now();
-        let mut acc = 0.0f32;
-        let mut x = -5.0f32;
-        for _ in 0..n {
-            x = if x > 5.0 { -5.0 } else { x + 1e-6 };
-            acc += sigt.value(x);
-        }
-        eprintln!(
-            "sigmoid table: {:.1}ns ({acc})",
-            t.elapsed().as_secs_f64() / n as f64 * 1e9
-        );
-        let t = Instant::now();
-        let mut acc = 0.0f32;
-        let mut x = -5.0f32;
-        for _ in 0..n {
-            x = if x > 5.0 { -5.0 } else { x + 1e-6 };
-            acc += 1.0 / (1.0 + (-x).exp());
-        }
-        eprintln!(
-            "sigmoid expf: {:.1}ns ({acc})",
-            t.elapsed().as_secs_f64() / n as f64 * 1e9
-        );
-
-        let vi: Vec<f32> = (0..dim).map(|i| i as f32 * 0.01).collect();
-        let t = Instant::now();
-        let mut acc = 0.0f32;
-        let mut r = 12345u64;
-        for _ in 0..n {
-            r = super::mix64(r);
-            let row = (r as usize) % vocab;
-            acc += dot_kernel::<32>(&vi, &w[row * dim..row * dim + dim]);
-        }
-        eprintln!(
-            "random-row dot32: {:.1}ns ({acc})",
-            t.elapsed().as_secs_f64() / n as f64 * 1e9
-        );
-
-        let t = Instant::now();
-        let mut acc = 0.0f32;
-        let mut r = 12345u64;
-        for _ in 0..n {
-            r = super::mix64(r);
-            let row = (r as usize) % vocab;
-            let b: &[f32; 32] = (&w[row * dim..row * dim + dim]).try_into().unwrap();
-            let mut dot = 0.0f32;
-            for k in 0..32 {
-                dot += vi[k] * b[k];
-            }
-            acc += dot;
-        }
-        eprintln!(
-            "random-row serial dot32: {:.1}ns ({acc})",
-            t.elapsed().as_secs_f64() / n as f64 * 1e9
-        );
-
-        let mut ov = Overlay::default();
-        let t = Instant::now();
-        let mut acc = 0.0f32;
-        let mut r = 999u64;
-        let seg_draws = 1300usize;
-        let rounds = (n as usize) / seg_draws;
-        for _ in 0..rounds {
-            ov.begin(vocab, dim);
-            for _ in 0..seg_draws {
-                r = super::mix64(r);
-                let row = ((r as usize) % vocab) as u32;
-                let vo = ov.row_mut(row, &w, dim);
-                vo[0] += 1.0;
-            }
-            acc += ov.delta(&w, dim).1.iter().sum::<f32>();
-        }
-        eprintln!(
-            "overlay touch+emit: {:.1}ns/touch ({acc})",
-            t.elapsed().as_secs_f64() / (rounds * seg_draws) as f64 * 1e9
-        );
-
-        let mut live = w.clone();
-        let mut undo = UndoLog::default();
-        let t = Instant::now();
-        let mut acc = 0.0f32;
-        let mut r = 999u64;
-        for _ in 0..rounds {
-            undo.begin(vocab);
-            for _ in 0..seg_draws {
-                r = super::mix64(r);
-                let row = ((r as usize) % vocab) as u32;
-                let vo = undo.row_mut(&mut live, row, dim);
-                vo[0] += 1.0;
-            }
-            acc += undo.delta_and_restore(&mut live, dim).1.iter().sum::<f32>();
-        }
-        eprintln!(
-            "undo-log touch+emit: {:.1}ns/touch ({acc})",
-            t.elapsed().as_secs_f64() / (rounds * seg_draws) as f64 * 1e9
-        );
-    }
-
-    /// Manual timing probe (not a test of behaviour): `cargo test -p
-    /// iuad-text --release perf_probe -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn probe() {
-        // Zipf-ish synthetic stream shaped like the 12k-paper bench corpus.
-        let mut rng = StdRng::seed_from_u64(7);
-        let vocab = 8000usize;
-        let ln_v = (vocab as f32 + 1.0).ln();
-        let docs: Vec<Vec<u32>> = (0..12000)
-            .map(|_| {
-                let len = rng.gen_range(4..10);
-                (0..len)
-                    .map(|_| ((rng.gen::<f32>() * ln_v).exp() as u32 - 1).min(vocab as u32 - 1))
-                    .collect()
-            })
-            .collect();
-        for batch_docs in [256usize, 1024, 100_000] {
-            let cfg = SgnsConfig {
-                epochs: 4,
-                batch_docs,
-                ..Default::default()
-            };
-            let t = Instant::now();
-            let (_, stats) = train_sgns_with_stats(&docs, vocab, &cfg);
-            eprintln!(
-                "batch={batch_docs} segment={}: total {:?} epochs {:.3}s vocab {:.3}s",
-                cfg.segment_docs,
-                t.elapsed(),
-                stats.epochs_seconds,
-                stats.vocab_seconds
-            );
         }
     }
 }

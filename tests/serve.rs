@@ -3,9 +3,9 @@
 //!
 //! The epoch contract under test: a reader holding an `Arc<Snapshot>` at
 //! epoch N keeps a bit-frozen, internally consistent view across any
-//! number of publishes (no torn reads — the partition, CSR, and caches in
-//! one snapshot all belong to the same epoch), and a superseded epoch's
-//! memory is reclaimed exactly when its last reader drops.
+//! number of publishes (no torn reads — the partition, its graph, and the
+//! caches in one snapshot all belong to the same epoch), and a superseded
+//! epoch's memory is reclaimed exactly when its last reader drops.
 
 use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
@@ -62,12 +62,11 @@ fn snapshot_epochs_stay_frozen_and_retire_with_their_readers() {
 
     // The reader's view is frozen at epoch 1, internally consistent: the
     // partition it started with is the partition it still sees, and its
-    // CSR covers exactly its own vertices (no torn read of epoch-2 state).
+    // graph covers exactly its own vertices (no torn read of epoch-2 state).
     assert_eq!(reader.epoch, 1);
     assert_eq!(reader.fingerprint(), frozen_fp);
     assert_eq!(reader.network.graph.num_vertices(), frozen_vertices);
     assert_eq!(reader.network.assignment.len(), frozen_assignments);
-    assert_eq!(reader.csr.num_vertices(), frozen_vertices);
 
     // New loads see epoch 2 with the absorbed papers...
     let current = store.load();
@@ -162,7 +161,8 @@ fn streaming_leaves_the_edge_set_untouched() {
     for (v, _) in before.vertices() {
         let neighbours = before.sorted_neighbors(v);
         assert_eq!(after.sorted_neighbors(v), neighbours, "{v:?}");
-        assert_eq!(snapshot.csr.neighbors(v), neighbours.as_slice(), "{v:?}");
+        let profile = snapshot.profile(v).expect("pre-stream vertex");
+        assert_eq!(profile.collaborators, neighbours, "{v:?}");
     }
 }
 
